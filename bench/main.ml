@@ -16,16 +16,28 @@ module U = Bench_util
 
 let vi = Value.int
 
-(* One extra untimed run of [f] with a Summary sink teed in, for the
+(* One extra untimed run of [f] with a memory sink teed in, for the
    "obs" block of a bench record. Kept out of [U.time_ms], whose repeat
    samples would multiply every event count. *)
-let obs_summary f =
-  let sum = Obs.Summary.create () in
-  Obs.with_tee (Obs.Summary.sink sum) (fun () -> ignore (f ()));
-  sum
+let obs_events f =
+  let mem, events = Obs.Sink.memory () in
+  Obs.with_tee mem (fun () -> ignore (f ()));
+  events ()
 
-let obs_series sum counter =
-  U.L (List.map (fun n -> U.I n) (Obs.Summary.counter_series sum counter))
+(* The increments of one counter, in emission order. *)
+let obs_counts events counter =
+  List.filter_map
+    (function
+      | Obs.Event.Count { counter = c; n; _ } when String.equal c counter -> Some n
+      | _ -> None)
+    events
+
+let obs_emissions events counter = List.length (obs_counts events counter)
+let obs_total events counter = List.fold_left ( + ) 0 (obs_counts events counter)
+let obs_max events counter = List.fold_left max 0 (obs_counts events counter)
+
+let obs_series events counter =
+  U.L (List.map (fun n -> U.I n) (obs_counts events counter))
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Theorem 6.2: safe deduction -> algebra= round trip.            *)
@@ -89,13 +101,13 @@ let e2 () =
       in
       let db = W.db_of ~rel:"edge" edges in
       let no_defs = Algebra.Defs.make [] in
+      let naive = { Algebra.Advice.none with strategy = Algebra.Delta.Naive } in
       let naive_ms, naive_value =
         U.time_ms (fun () ->
-            Algebra.Eval.eval ~strategy:Algebra.Delta.Naive no_defs db W.tc_ifp)
+            Algebra.Eval.eval ~advice:naive no_defs db W.tc_ifp)
       in
       let semi_ms, semi_value =
-        U.time_ms (fun () ->
-            Algebra.Eval.eval ~strategy:Algebra.Delta.Seminaive no_defs db W.tc_ifp)
+        U.time_ms (fun () -> Algebra.Eval.eval no_defs db W.tc_ifp)
       in
       (* The two IFP engines must produce byte-identical sets. *)
       assert (Value.equal naive_value semi_value);
@@ -114,10 +126,7 @@ let e2 () =
         && List.length tr_tuples = tc_count
       in
       let speedup = naive_ms /. semi_ms in
-      let sum =
-        obs_summary (fun () ->
-            Algebra.Eval.eval ~strategy:Algebra.Delta.Seminaive no_defs db W.tc_ifp)
-      in
+      let ev = obs_events (fun () -> Algebra.Eval.eval no_defs db W.tc_ifp) in
       U.row "%-10d %8d %14.2f %12.2f %14.2f %8.1fx %14.2f %7b@." n tc_count
         strat_ms naive_ms semi_ms speedup tr_ms equal;
       U.record
@@ -132,8 +141,8 @@ let e2 () =
           ("agree", U.B equal);
           ("obs",
            U.O
-             [ ("ifp_iters", U.I (Obs.Summary.counter_events sum "eval/ifp_iter"));
-               ("delta_sizes", obs_series sum "eval/ifp_delta") ]) ])
+             [ ("ifp_iters", U.I (obs_emissions ev "eval/ifp_iter"));
+               ("delta_sizes", obs_series ev "eval/ifp_delta") ]) ])
     sizes
 
 (* ------------------------------------------------------------------ *)
@@ -205,11 +214,12 @@ let e5 () =
     (* Solve the produced algebra= program with both fixpoint engines. *)
     let naive_ms, value_naive =
       U.time_ms ~runs:3 (fun () ->
-          Translate.Ifp_elim.query_value ~strategy:Algebra.Delta.Naive elim)
+          Translate.Ifp_elim.query_value
+            ~advice:{ Algebra.Advice.none with strategy = Algebra.Delta.Naive }
+            elim)
     in
     let semi_ms, value_semi =
-      U.time_ms ~runs:3 (fun () ->
-          Translate.Ifp_elim.query_value ~strategy:Algebra.Delta.Seminaive elim)
+      U.time_ms ~runs:3 (fun () -> Translate.Ifp_elim.query_value elim)
     in
     assert (
       Value.equal value_naive.Algebra.Rec_eval.low value_semi.Algebra.Rec_eval.low
@@ -220,10 +230,7 @@ let e5 () =
       && Value.equal value_semi.Algebra.Rec_eval.high direct
     in
     let speedup = naive_ms /. semi_ms in
-    let sum =
-      obs_summary (fun () ->
-          Translate.Ifp_elim.query_value ~strategy:Algebra.Delta.Seminaive elim)
-    in
+    let ev = obs_events (fun () -> Translate.Ifp_elim.query_value elim) in
     U.row "%-12s %8d %8d %6d %12.2f %10.2f %14.2f %8.1fx %7b@." name
       (Value.cardinal direct) elim.Translate.Ifp_elim.stage_bound
       (List.length (Algebra.Defs.defs elim.Translate.Ifp_elim.defs))
@@ -239,9 +246,9 @@ let e5 () =
         ("agree", U.B equal);
         ("obs",
          U.O
-           [ ("rounds", U.I (Obs.Summary.counter_events sum "rec_eval/round"));
-             ("phase_iters", U.I (Obs.Summary.counter_total sum "rec_eval/phase_iter"));
-             ("delta_sizes", obs_series sum "rec_eval/delta") ]) ]
+           [ ("rounds", U.I (obs_emissions ev "rec_eval/round"));
+             ("phase_iters", U.I (obs_total ev "rec_eval/phase_iter"));
+             ("delta_sizes", obs_series ev "rec_eval/delta") ]) ]
   in
   run "chain-2" (W.chain 2);
   if not (U.is_smoke ()) then begin
@@ -258,7 +265,10 @@ let e6 () =
     "unfused ms" "speedup" "equal";
   let no_defs = Algebra.Defs.make [] in
   let run name db expr =
-    let eval ?fuel join = Algebra.Eval.eval ?fuel ~join no_defs db expr in
+    let eval ?fuel join =
+      Algebra.Eval.eval ?fuel ~advice:{ Algebra.Advice.none with join } no_defs db
+        expr
+    in
     let fused_ms, fused_v = U.time_ms (fun () -> eval Algebra.Join.Fused) in
     let unfused_ms, unfused_v = U.time_ms (fun () -> eval Algebra.Join.Unfused) in
     (* The planner's contract: byte-identical sets, identical fuel. *)
@@ -409,103 +419,6 @@ let e10 () =
   run "win-cycle-32" W.win_program (W.edb_of ~pred:"move" (W.cycle 32))
 
 (* ------------------------------------------------------------------ *)
-(* E11 — hash-consing ablation: interned vs structural values.         *)
-
-let e11 () =
-  U.hr "E11: hash-consing ablation, interned vs structural values";
-  U.row "%-20s %8s %12s %14s %9s %9s %7s@." "workload" "|result|" "hashcons ms"
-    "structural ms" "speedup" "hit rate" "equal";
-  let no_defs = Algebra.Defs.make [] in
-  let run name mk_db expr =
-    (* Build the database inside the mode scope: values constructed under
-       [Off] must not be pre-interned, or the structural baseline would
-       silently inherit physical sharing from the consed kernel. *)
-    let eval ?fuel mode =
-      Value.Hashcons.with_mode mode @@ fun () ->
-      Algebra.Eval.eval ?fuel ~hashcons:mode no_defs (mk_db ()) expr
-    in
-    Value.Stats.reset_counters ();
-    let on_ms, on_v = U.time_ms (fun () -> eval Value.Hashcons.On) in
-    let stats = Value.Stats.snapshot () in
-    let off_ms, off_v = U.time_ms (fun () -> eval Value.Hashcons.Off) in
-    (* The kernel's contract: byte-identical sets, identical fuel, in
-       either mode. *)
-    assert (Value.equal on_v off_v);
-    let spent mode =
-      let fuel = Limits.of_int 1_000_000 in
-      ignore (eval ~fuel mode);
-      Limits.remaining fuel
-    in
-    assert (spent Value.Hashcons.On = spent Value.Hashcons.Off);
-    (* Collision audit for the FNV mixer: distinct result elements must
-       (almost) all carry distinct memoized hashes. *)
-    let elems = Value.elements on_v in
-    let n = List.length elems in
-    let distinct =
-      List.length (List.sort_uniq Int.compare (List.map Value.hash elems))
-    in
-    let collisions = n - distinct in
-    assert (collisions * 20 <= n);
-    let hit_rate =
-      let total = stats.Value.Stats.hits + stats.Value.Stats.misses in
-      if total = 0 then 0.0
-      else 100.0 *. float_of_int stats.Value.Stats.hits /. float_of_int total
-    in
-    let speedup = off_ms /. on_ms in
-    let sum = obs_summary (fun () -> eval Value.Hashcons.On) in
-    U.row "%-20s %8d %12.2f %14.2f %8.1fx %8.1f%% %7b@." name (Value.cardinal on_v)
-      on_ms off_ms speedup hit_rate true;
-    U.record
-      [ ("experiment", U.S "e11");
-        ("workload", U.S name);
-        ("cardinality", U.I (Value.cardinal on_v));
-        ("hashcons_ms", U.F on_ms);
-        ("structural_ms", U.F off_ms);
-        ("speedup", U.F speedup);
-        ("hit_rate", U.F hit_rate);
-        ("hash_collisions", U.I collisions);
-        ("agree", U.B true);
-        ("obs",
-         U.O
-           [ ("ifp_iters", U.I (Obs.Summary.counter_events sum "eval/ifp_iter"));
-             ("delta_sizes", obs_series sum "eval/ifp_delta") ]) ]
-  in
-  let peano_sizes = if U.is_smoke () then [ 24 ] else [ 24; 48; 96 ] in
-  List.iter
-    (fun n ->
-      run (Fmt.str "tc-peano-%d" n)
-        (fun () -> W.peano_db ~rel:"edge" (W.chain n))
-        W.tc_ifp)
-    peano_sizes;
-  let peano_cycle_sizes = if U.is_smoke () then [ 12 ] else [ 16; 24; 32 ] in
-  List.iter
-    (fun n ->
-      run (Fmt.str "tc-peano-cyc-%d" n)
-        (fun () -> W.peano_db ~rel:"edge" (W.cycle n))
-        W.tc_ifp)
-    peano_cycle_sizes;
-  let tagged_sizes = if U.is_smoke () then [ (12, 32) ] else [ (16, 64); (32, 64) ] in
-  List.iter
-    (fun (n, depth) ->
-      run
-        (Fmt.str "tc-tag%d-cyc-%d" depth n)
-        (fun () -> W.tagged_db ~rel:"edge" ~depth (W.cycle n))
-        W.tc_ifp)
-    tagged_sizes;
-  let tc_sizes = if U.is_smoke () then [ 32 ] else [ 48; 96; 192 ] in
-  List.iter
-    (fun n ->
-      run (Fmt.str "tc-chain-%d" n)
-        (fun () -> W.db_of ~rel:"edge" (W.chain n))
-        W.tc_ifp)
-    tc_sizes;
-  let sg_sizes = if U.is_smoke () then [ 15 ] else [ 15; 31; 63 ] in
-  List.iter
-    (fun n ->
-      run (Fmt.str "sg-tree-%d" n) (fun () -> W.db_of ~rel:"edge" (W.tree n)) W.sg_ifp)
-    sg_sizes
-
-(* ------------------------------------------------------------------ *)
 (* Micro-kernels through Bechamel's OLS analysis.                      *)
 
 let micro () =
@@ -586,14 +499,14 @@ let e12 () =
       Algebra.Incremental.init no_defs (W.db_of ~rel:"edge" base_edges) W.tc_ifp
     in
     let replay eng = List.iter (fun ops -> ignore (Algebra.Incremental.update eng (upd ops))) batches in
-    let sum = obs_summary (fun () -> replay (mk ())) in
+    let ev = obs_events (fun () -> replay (mk ())) in
     let eng = mk () in
     let t_incr, () = U.time_ms ~runs:1 (fun () -> replay eng) in
     let scratch_ms, scratch_v =
       U.time_ms (fun () -> Algebra.Eval.eval no_defs (Algebra.Incremental.db eng) W.tc_ifp)
     in
     let agree = Value.equal (Algebra.Incremental.value eng) scratch_v in
-    (t_incr, scratch_ms, agree, sum)
+    (t_incr, scratch_ms, agree, ev)
   in
   let run_datalog base_edges batches =
     let upd ops =
@@ -610,7 +523,7 @@ let e12 () =
       | Error m -> failwith m
     in
     let replay t = List.iter (fun ops -> ignore (Datalog.Incremental.update t (upd ops))) batches in
-    let sum = obs_summary (fun () -> replay (mk ())) in
+    let ev = obs_events (fun () -> replay (mk ())) in
     let t = mk () in
     let t_incr, () = U.time_ms ~runs:1 (fun () -> replay t) in
     let scratch_ms, scratch_r =
@@ -622,7 +535,7 @@ let e12 () =
       | Ok r -> Datalog.Edb.equal (Datalog.Incremental.result t) r
       | Error _ -> false
     in
-    (t_incr, scratch_ms, agree, sum)
+    (t_incr, scratch_ms, agree, ev)
   in
   List.iter
     (fun n ->
@@ -633,12 +546,12 @@ let e12 () =
               let k, total, base_edges, batches = config n kind b in
               List.iter
                 (fun (engine, run) ->
-                  let t_incr, scratch_ms, agree, sum = run base_edges batches in
+                  let t_incr, scratch_ms, agree, ev = run base_edges batches in
                   let per_batch = t_incr /. float_of_int k in
                   let per_update = t_incr /. float_of_int total in
                   let speedup = scratch_ms /. per_batch in
                   assert agree;
-                  let c name = Obs.Summary.counter_total sum ("incr/" ^ name) in
+                  let c name = obs_total ev ("incr/" ^ name) in
                   U.row "%-8s %-14s %-7s %6d %4d %12.3f %14.2f %12.2f %8.1fx %6b@."
                     engine (Fmt.str "tc-chain-%d" n) kind_name b k per_update
                     per_batch scratch_ms speedup agree;
@@ -734,7 +647,7 @@ let e13 () =
      behaviour (tiny joins would only pay queue overhead) but nothing to
      measure; the wide-strata curves below cover the semi-naive engine
      with coarse per-component tasks instead. *)
-  let naive = Algebra.Delta.Naive in
+  let naive = { Algebra.Advice.none with strategy = Algebra.Delta.Naive } in
   (* 1. Flat-integer chain TC (E2's shape): join-dominated with cheap
      keys — the honest hard case, where partitioning overhead competes
      with very little per-tuple work. *)
@@ -742,15 +655,15 @@ let e13 () =
   let chain_db = W.db_of ~rel:"edge" (W.chain n) in
   curve
     (Printf.sprintf "tc_chain_%d" n)
-    (fun () -> Algebra.Eval.eval ~strategy:naive no_defs chain_db W.tc_ifp)
+    (fun () -> Algebra.Eval.eval ~advice:naive no_defs chain_db W.tc_ifp)
     ~equal:Value.equal ~fingerprint:Value.hash;
-  (* 2. Deep-constructor TC on a cycle (E11's shape): every probe
+  (* 2. Deep-constructor TC on a cycle (Peano-term nodes): every probe
      carries Peano terms, so the parallel partitions do real work. *)
   let pn = if U.is_smoke () then 16 else 32 in
   let peano_db = W.peano_db ~rel:"edge" (W.cycle pn) in
   curve
     (Printf.sprintf "peano_tc_cycle_%d" pn)
-    (fun () -> Algebra.Eval.eval ~strategy:naive no_defs peano_db W.tc_ifp)
+    (fun () -> Algebra.Eval.eval ~advice:naive no_defs peano_db W.tc_ifp)
     ~equal:Value.equal ~fingerprint:Value.hash;
   (* 3. Wide strata, datalog driver: 8 independent TCs in one stratum;
      the component split gives the pool 8 coarse tasks per stratum. *)
@@ -811,12 +724,8 @@ let e14 () =
         let advice = Plan.Planner.advice planner in
         let eval () = Algebra.Eval.eval ~advice no_defs db expr in
         let ms, result = U.time_ms eval in
-        let sum = obs_summary eval in
-        let peak =
-          max
-            (Obs.Summary.counter_max sum "join/out")
-            (Obs.Summary.counter_max sum "eval/product_out")
-        in
+        let ev = obs_events eval in
+        let peak = max (obs_max ev "join/out") (obs_max ev "eval/product_out") in
         let agree, speedup =
           match !base with
           | None ->
@@ -825,10 +734,6 @@ let e14 () =
           | Some (r0, ms0) -> (Value.equal r0 result, ms0 /. ms)
         in
         assert agree;
-        if Sys.getenv_opt "E14_DEBUG" <> None then
-          Fmt.epr "--- %s %s ---@.%a@." name
-            (Plan.Planner.mode_to_string mode)
-            Obs.Summary.pp sum;
         let report =
           match Plan.Planner.reports planner with r :: _ -> Some r | [] -> None
         in
@@ -1207,8 +1112,8 @@ let e16 () =
     Value.hash
       (Algebra.Eval.eval
          ~fuel:(fresh ())
-         ~strategy:Algebra.Delta.Naive
-         ~advice:(Plan.Planner.advice planner)
+         ~advice:
+           { (Plan.Planner.advice planner) with strategy = Algebra.Delta.Naive }
          no_defs drift_db drift_ifp)
   in
   ignore (eval stale ());
@@ -1243,7 +1148,7 @@ let e16 () =
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
+    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
     ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
   ]
 
@@ -1288,7 +1193,7 @@ let () =
           | None ->
             if String.equal name "micro" then micro ()
             else begin
-              Fmt.epr "unknown experiment %s (e1..e16, micro)@." name;
+              Fmt.epr "unknown experiment %s (e1..e10, e12..e16, micro)@." name;
               exit 2
             end)
         names

@@ -134,8 +134,9 @@ let term =
       value & flag
       & info [ "stats" ]
           ~doc:
-            "Print hash-consing statistics (live nodes, table occupancy, \
-             hit/miss counts) to stderr after evaluation.")
+            "Print value-interning statistics (live nodes, table \
+             occupancy, hit/miss counts, lock contention) to stderr after \
+             evaluation.")
   in
   let trace =
     Arg.(
@@ -152,9 +153,13 @@ let term =
       value & flag
       & info [ "profile" ]
           ~doc:
-            "Print an EXPLAIN-style profile to stderr after evaluation: \
-             span timings, fixpoint iteration counts, per-engine \
-             counters, and (with $(b,--plan)) the chosen join orders.")
+            "Print a profile to stderr after evaluation: the retained \
+             metrics registry (collected as for $(b,--metrics)) rendered \
+             as the $(b,report) tables — top phases by wall time and by \
+             fuel with p50/p90/p99 histogram latencies (bounded relative \
+             error), counter distributions such as fixpoint iteration \
+             counts, and gauges — preceded, with $(b,--plan), by the \
+             chosen join orders.")
   in
   let metrics =
     Arg.(
@@ -257,28 +262,22 @@ let exit_code = function
 (* Run [f] — which receives the budget built from [t] — with whatever
    reporting [t] asks for, on the pool size [t] requests (the workers
    are joined at process exit). A sink is always installed (null when
-   neither --trace nor --profile asked for one) so the obs layer tracks
-   span paths and a resource error can say where it died. The budget is
-   installed as the ambient one, extending deadline/cancellation checks
-   to pool tasks and join partitions. Resource errors are caught here,
-   reported, and turned into the documented exit codes — after the
-   trace file (written via tmp + rename) has been completed, so an
-   aborted run still leaves a whole, readable trace. *)
+   --trace did not ask for one) so the obs layer tracks span paths and a
+   resource error can say where it died. --metrics and --profile both
+   read the retained registry: the former writes it to files, the
+   latter renders it on stderr. The budget is installed as the ambient
+   one, extending deadline/cancellation checks to pool tasks and join
+   partitions. Resource errors are caught here, reported, and turned
+   into the documented exit codes — after the trace file (written via
+   tmp + rename) has been completed, so an aborted run still leaves a
+   whole, readable trace. *)
 let with_reporting t f =
   Pool.set_domains t.domains;
   Algebra.Join.par_threshold := t.par_threshold;
   let fuel = fuel_of t in
   let code = ref 0 in
-  let summary = if t.profile then Some (Obs.Summary.create ()) else None in
   let go oc =
-    let sink =
-      match
-        Option.map Obs.Sink.jsonl oc, Option.map Obs.Summary.sink summary
-      with
-      | Some a, Some b -> Obs.Sink.tee a b
-      | Some s, None | None, Some s -> s
-      | None, None -> Obs.Sink.null
-    in
+    let sink = Option.fold ~none:Obs.Sink.null ~some:Obs.Sink.jsonl oc in
     Datalog.Run.with_obs sink @@ fun () ->
     try Limits.with_active fuel (fun () -> f fuel) with
     | (Limits.Diverged _ | Limits.Resource_exhausted _) as e ->
@@ -295,7 +294,8 @@ let with_reporting t f =
       Fmt.epr "error: injected fault at %s (hit %d)@." site hit;
       code := 1
   in
-  if t.metrics <> None then begin
+  let collect = t.metrics <> None || t.profile in
+  if collect then begin
     Obs.Metrics.reset ();
     Obs.Metrics.set_collecting true
   end;
@@ -306,16 +306,18 @@ let with_reporting t f =
      is complete), from a quiesced registry, via the same tmp + rename
      path as every other artifact — an aborted run still leaves whole
      files. *)
-  (match t.metrics with
-  | None -> ()
-  | Some path ->
+  if collect then begin
     Obs.Metrics.set_collecting false;
     let sn = Obs.Metrics.snapshot () in
-    Safe_io.with_file path (fun oc ->
-        output_string oc (Obs.Metrics.to_prometheus sn));
-    Safe_io.with_file (path ^ ".json") (fun oc ->
-        output_string oc (Obs.Metrics.to_json sn)));
-  Option.iter (fun s -> Fmt.epr "%a@." Obs.Summary.pp s) summary;
+    Option.iter
+      (fun path ->
+        Safe_io.with_file path (fun oc ->
+            output_string oc (Obs.Metrics.to_prometheus sn));
+        Safe_io.with_file (path ^ ".json") (fun oc ->
+            output_string oc (Obs.Metrics.to_json sn)))
+      t.metrics;
+    if t.profile then Fmt.epr "%a@." (Obs.Metrics.pp_report ?top:None) sn
+  end;
   report_stats t;
   (match Limits.degraded fuel with
   | Some (kind, what) ->

@@ -239,10 +239,7 @@ let alg_cmd =
           constants;
         (match p.Algebra.Parser.query with
         | Some q ->
-          let v =
-            Algebra.Rec_eval.eval ?window ~fuel ~advice
-              p.Algebra.Parser.defs Algebra.Db.empty q
-          in
+          let v = Algebra.Rec_eval.query sol q in
           Fmt.pr "@[<h>query = %a@]@." Algebra.Rec_eval.pp_vset v
         | None -> ());
         Common_args.report_plan common planner;

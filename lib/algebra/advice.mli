@@ -1,4 +1,9 @@
-(** Planner advice consumed by the evaluators.
+(** The evaluator configuration: defaults plus planner advice.
+
+    This record is the one configuration value the algebra evaluators
+    ({!Eval}, {!Rec_eval}, {!Delta}) take. Its two plain fields are the
+    evaluator-wide defaults — the [IFP] loop strategy and the join
+    mode — and the rest are planner hooks.
 
     The cost-based planner lives in [recalg.plan], {e above} this
     library, so the evaluators cannot call it directly. Instead they
@@ -11,10 +16,28 @@
     byte-identical sets (fuel is pinned by tests but not promised by
     this interface; see DESIGN.md §10).
 
-    {!none} is the identity advice; evaluators default to it, and with
-    it the advised code paths are byte-for-byte the unadvised ones. *)
+    {!none} is the identity advice with the default strategy and join
+    mode; evaluators default to it, and with it the advised code paths
+    are byte-for-byte the unadvised ones. The reference oracles stay
+    reachable as [{ Advice.none with strategy = Naive }] or
+    [{ (Planner.advice p) with join = Unfused }]; every combination
+    computes byte-identical results and spends identical fuel. *)
+
+type strategy = Naive | Seminaive
+(** [IFP] loop selector, re-exported as {!Delta.strategy}: [Seminaive]
+    iterates on deltas where the fixpoint variable occurs delta-linearly
+    and falls back per subexpression; [Naive] forces full
+    re-evaluation every round (the reference oracle). *)
 
 type t = {
+  strategy : strategy;
+      (** Default [IFP] loop strategy ([Seminaive] in {!none}), used
+          wherever {!ifp_strategy} has no override. *)
+  join : Join.mode;
+      (** Default join mode ([Fused] in {!none}): [Fused] evaluates
+          [Select (p, Product _)] nodes with an extractable equi-key as
+          hash joins ({!Join}), [Unfused] materialises the product and
+          filters. Used wherever {!join_mode} has no override. *)
   rewrite : Expr.t -> Expr.t;
       (** Applied to every expression an evaluator is about to walk
           (after definition inlining, so planner decisions key on the
@@ -29,7 +52,7 @@ type t = {
           [Some true] partitions whenever the pool is parallel (ignoring
           [Join.par_threshold]), [Some false] forces the sequential
           path, [None] keeps the threshold heuristic. *)
-  ifp_strategy : string -> Expr.t -> Delta.strategy option;
+  ifp_strategy : string -> Expr.t -> strategy option;
       (** Per-[Ifp (x, body)] strategy override, called with [x] and
           [body]. *)
   refresh : round:int -> bound:(string * (unit -> int)) list -> Expr.t -> Expr.t option;
@@ -46,7 +69,9 @@ type t = {
 }
 
 val none : t
-(** The identity advice: identity rewrite, every override [None]. *)
+(** The identity advice: [Seminaive], [Fused], identity rewrite, every
+    override [None]. *)
 
 val is_none : t -> bool
-(** Physical check against {!none}, so hot paths can skip hook calls. *)
+(** Whether every hook is physically {!none}'s (the two defaults may
+    differ), so hot paths can skip hook calls. *)

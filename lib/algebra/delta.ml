@@ -1,7 +1,7 @@
 open Recalg_kernel
 module Obs = Recalg_obs.Obs
 
-type strategy = Naive | Seminaive
+type strategy = Advice.strategy = Naive | Seminaive
 
 let is_empty v = Value.equal v Value.empty_set
 
@@ -21,8 +21,7 @@ let touches names e =
 
 let eligible names e = Positivity.has_linear_occurrence names e
 
-let derive ~builtins ?(join = Join.Fused) ?(join_mode = fun _ -> None)
-    ?(join_par = fun _ -> None) ~eval ?eval_diff_right ~deltas e =
+let derive ~builtins ?(advice = Advice.none) ~eval ?eval_diff_right ~deltas e =
   let eval_diff_right = Option.value eval_diff_right ~default:eval in
   let names = List.map fst deltas in
   let rec go e =
@@ -46,8 +45,10 @@ let derive ~builtins ?(join = Join.Fused) ?(join_mode = fun _ -> None)
            side a hash join probing the *current* value of the unchanged
            factor — the same split as the Product rule, without ever
            materialising a product. *)
-        let node_join = Option.value (join_mode e) ~default:join in
-        let par = join_par e in
+        let node_join =
+          Option.value (advice.Advice.join_mode e) ~default:advice.Advice.join
+        in
+        let par = advice.Advice.join_par e in
         let fused =
           match node_join, a with
           | Join.Fused, Expr.Product (ea, eb) -> (

@@ -22,10 +22,11 @@
 
 open Recalg_kernel
 
-type strategy = Naive | Seminaive
-(** Engine selector threaded through {!Eval} and {!Rec_eval}; [Seminaive]
-    is the default everywhere and falls back per-subexpression. [Naive]
-    forces the historical full re-evaluation loops (benchmark baseline). *)
+type strategy = Advice.strategy = Naive | Seminaive
+(** Engine selector, set through {!Advice.t}'s [strategy] field;
+    [Seminaive] is the default everywhere and falls back
+    per-subexpression. [Naive] forces the historical full re-evaluation
+    loops (the reference oracle). *)
 
 val eligible : string list -> Expr.t -> bool
 (** Delta derivation pays off: at least one tracked name occurs free in a
@@ -33,9 +34,7 @@ val eligible : string list -> Expr.t -> bool
 
 val derive :
   builtins:Builtins.t ->
-  ?join:Join.mode ->
-  ?join_mode:(Expr.t -> Join.mode option) ->
-  ?join_par:(Expr.t -> bool option) ->
+  ?advice:Advice.t ->
   eval:(Expr.t -> Value.t) ->
   ?eval_diff_right:(Expr.t -> Value.t) ->
   deltas:(string * Value.t) list ->
@@ -50,15 +49,15 @@ val derive :
     for right arguments of [Diff] — the three-valued engine passes the
     opposite bound there, mirroring [low = a.low - b.high].
 
-    [join] (default [Fused]) plans [Select (p, Product _)] nodes as hash
-    joins ({!Join}): the delta of such a node joins each factor's delta
-    against the current value of the other factor, so delta rounds stay
-    [O(|Δ| + |probe| + |out|)] instead of materialising products.
-
-    [join_mode] and [join_par] are the planner's per-node overrides
-    ({!Advice}), called with each [Select] node: the former replaces
-    [join] for that node, the latter forces or forbids the parallel join
-    path. Both default to "no override". *)
+    [advice] (default {!Advice.none}) supplies the join configuration:
+    its [join] mode ([Fused] in {!Advice.none}) plans
+    [Select (p, Product _)] nodes as hash joins ({!Join}) — the delta of
+    such a node joins each factor's delta against the current value of
+    the other factor, so delta rounds stay [O(|Δ| + |probe| + |out|)]
+    instead of materialising products — and its per-node [join_mode] and
+    [join_par] hooks, called with each [Select] node, override the mode
+    or force/forbid the parallel join path for that node. Its [rewrite]
+    is not applied here: callers pass already-advised bodies. *)
 
 val touches : string list -> Expr.t -> bool
 (** Some tracked name occurs free in the expression. *)

@@ -4,17 +4,7 @@ module Obs = Recalg_obs.Obs
 exception Undefined_relation of string
 exception Recursive_definition of string
 
-(* [?hashcons] scopes a Value.Hashcons mode over one evaluation — the
-   ablation/escape hatch mirroring [~strategy] and [~join]; [None] leaves
-   the ambient mode untouched. *)
-let scoped hashcons f =
-  match hashcons with
-  | None -> f ()
-  | Some mode -> Value.Hashcons.with_mode mode f
-
-let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
-    ?(join = Join.Fused) ?hashcons ?(advice = Advice.none) defs db expr =
-  scoped hashcons @@ fun () ->
+let eval ?(fuel = Limits.default ()) ?(advice = Advice.none) defs db expr =
   Obs.span "eval" @@ fun () ->
   let builtins = Defs.builtins defs in
   (* The rewrite runs after inlining, so the planner's per-node decision
@@ -53,7 +43,9 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
       Obs.countf "eval/product_out" (fun () -> Value.cardinal v);
       v
     | Expr.Select (p, a) -> (
-      let node_join = Option.value (advice.Advice.join_mode e) ~default:join in
+      let node_join =
+        Option.value (advice.Advice.join_mode e) ~default:advice.Advice.join
+      in
       let par = advice.Advice.join_par e in
       let fused =
         match node_join, a with
@@ -79,7 +71,8 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
     | Expr.Ifp (x, body) ->
       Obs.span "ifp" @@ fun () ->
       let strategy =
-        Option.value (advice.Advice.ifp_strategy x body) ~default:strategy
+        Option.value (advice.Advice.ifp_strategy x body)
+          ~default:advice.Advice.strategy
       in
       let full body s = go visiting ((x, s) :: env) body in
       (* Round-boundary re-planning: offer the planner the observed
@@ -160,9 +153,7 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
                 Limits.spend fuel ~what:"IFP iteration";
                 Obs.count "eval/ifp_iter" 1;
                 let derived =
-                  Delta.derive ~builtins ~join
-                    ~join_mode:advice.Advice.join_mode
-                    ~join_par:advice.Advice.join_par
+                  Delta.derive ~builtins ~advice
                     ~eval:(fun e -> go visiting ((x, s) :: env) e)
                     ~deltas:[ (x, d) ]
                     body
@@ -181,5 +172,4 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
   in
   go [] [] (advise (Defs.inline defs expr))
 
-let eval_closed ?fuel ?strategy ?join ?hashcons ?advice db expr =
-  eval ?fuel ?strategy ?join ?hashcons ?advice (Defs.make []) db expr
+let eval_closed ?fuel ?advice db expr = eval ?fuel ?advice (Defs.make []) db expr

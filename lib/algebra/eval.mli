@@ -13,9 +13,6 @@ exception Recursive_definition of string
 
 val eval :
   ?fuel:Limits.fuel ->
-  ?strategy:Delta.strategy ->
-  ?join:Join.mode ->
-  ?hashcons:Value.Hashcons.mode ->
   ?advice:Advice.t ->
   Defs.t ->
   Db.t ->
@@ -25,33 +22,22 @@ val eval :
     constant that (transitively) refers to itself, and
     [Limits.Diverged] when an [IFP] fails to converge within fuel.
 
-    [strategy] (default [Seminaive]) selects the [IFP] loop: semi-naive
-    delta iteration where the fixpoint variable occurs delta-linearly
-    (see {!Delta}), with per-subexpression fallback to full
-    re-evaluation elsewhere. Both strategies compute byte-identical
-    results on identical rounds; [Naive] is the benchmark baseline.
-
-    [join] (default [Fused]) evaluates [Select (p, Product _)] nodes with
-    an extractable equi-key as hash joins (see {!Join}); [Unfused] always
-    materialises the product and filters. The two modes return
-    byte-identical values and spend identical fuel.
-
-    [hashcons] scopes {!Value.Hashcons.with_mode} over the evaluation —
-    [Off] is the structural-equality ablation baseline; omitted, the
-    ambient mode is left untouched. Either mode returns byte-identical
-    values and spends identical fuel.
-
-    [advice] (default {!Advice.none}) installs planner hooks: the
-    rewrite runs on every inlined expression before it is walked, and
-    the per-node overrides replace [join]/[strategy] at individual
-    [Select]/[Ifp] nodes. Any advice built by [Recalg.Plan] preserves
-    results byte for byte. *)
+    [advice] (default {!Advice.none}) is the evaluator configuration.
+    Its [strategy] (default [Seminaive]) selects the [IFP] loop:
+    semi-naive delta iteration where the fixpoint variable occurs
+    delta-linearly (see {!Delta}), with per-subexpression fallback to
+    full re-evaluation elsewhere; [Naive] is the reference oracle. Its
+    [join] (default [Fused]) evaluates [Select (p, Product _)] nodes
+    with an extractable equi-key as hash joins (see {!Join}); [Unfused]
+    always materialises the product and filters. Its planner hooks
+    rewrite every inlined expression before it is walked, and the
+    per-node overrides replace [join]/[strategy] at individual
+    [Select]/[Ifp] nodes. Every strategy, join mode and advice built by
+    [Recalg.Plan] returns byte-identical values and spends identical
+    fuel. *)
 
 val eval_closed :
   ?fuel:Limits.fuel ->
-  ?strategy:Delta.strategy ->
-  ?join:Join.mode ->
-  ?hashcons:Value.Hashcons.mode ->
   ?advice:Advice.t ->
   Db.t ->
   Expr.t ->

@@ -102,5 +102,5 @@ val exec : ?par:bool -> Recalg_kernel.Builtins.t -> t -> Recalg_kernel.Value.t -
     the pool is parallel, [Some false] forces the sequential path. The
     result is byte-identical on every path. When observability is on,
     each call also emits its output cardinality as the [join/out]
-    counter, so a summary's [counter_max] reports the peak join
-    intermediate. *)
+    counter, so that counter's maximum (e.g. in the metrics registry)
+    reports the peak join intermediate. *)

@@ -27,12 +27,9 @@ module Smap = Map.Make (String)
 type solution = {
   lows : Value.t Smap.t;
   highs : Value.t Smap.t;
-  defs : Defs.t;  (* inlined *)
+  defs : Defs.t;  (* as given to [solve]: queries inline against it *)
   db : Db.t;
   fuel : Limits.fuel;
-  window : Value.t option;
-  strategy : Delta.strategy;
-  join : Join.mode;
   advice : Advice.t;
   rounds : int;
 }
@@ -42,8 +39,8 @@ type solution = {
    reading of subtraction: an element is certainly in [a - b] when it is
    certainly in [a] and not possibly in [b]; possibly in [a - b] when
    possibly in [a] and not certainly in [b]. *)
-let rec eval_vset builtins db lows highs fuel strategy join advice env e =
-  let recur = eval_vset builtins db lows highs fuel strategy join advice in
+let rec eval_vset builtins db lows highs fuel advice env e =
+  let recur = eval_vset builtins db lows highs fuel advice in
   match e with
   | Expr.Rel name -> (
     match List.assoc_opt name env with
@@ -72,7 +69,9 @@ let rec eval_vset builtins db lows highs fuel strategy join advice env e =
     Obs.countf "eval/product_out" (fun () -> Value.cardinal s.high);
     s
   | Expr.Select (p, a) -> (
-    let node_join = Option.value (advice.Advice.join_mode e) ~default:join in
+    let node_join =
+      Option.value (advice.Advice.join_mode e) ~default:advice.Advice.join
+    in
     let par = advice.Advice.join_par e in
     let fused =
       match node_join, a with
@@ -103,7 +102,8 @@ let rec eval_vset builtins db lows highs fuel strategy join advice env e =
       high = Value.filter_map_set apply sa.high }
   | Expr.Ifp (x, body) ->
     let strategy =
-      Option.value (advice.Advice.ifp_strategy x body) ~default:strategy
+      Option.value (advice.Advice.ifp_strategy x body)
+        ~default:advice.Advice.strategy
     in
     let full s = recur ((x, s) :: env) body in
     let naive () =
@@ -136,8 +136,7 @@ let rec eval_vset builtins db lows highs fuel strategy join advice env e =
           Limits.spend fuel ~what:"Rec_eval: IFP iteration";
           Obs.count "rec_eval/ifp_iter" 1;
           let derive proj opp dval =
-            Delta.derive ~builtins ~join ~join_mode:advice.Advice.join_mode
-              ~join_par:advice.Advice.join_par
+            Delta.derive ~builtins ~advice
               ~eval:(fun e -> proj (recur ((x, s) :: env) e))
               ~eval_diff_right:(fun e -> opp (recur ((x, s) :: env) e))
               ~deltas:[ (x, dval) ]
@@ -157,17 +156,7 @@ let clip window v =
   | None -> v
   | Some u -> Value.inter v u
 
-(* [?hashcons] scopes a Value.Hashcons mode over one solve/eval — the
-   ablation/escape hatch mirroring [~strategy] and [~join]; [None] leaves
-   the ambient mode untouched. *)
-let scoped hashcons f =
-  match hashcons with
-  | None -> f ()
-  | Some mode -> Value.Hashcons.with_mode mode f
-
-let solve ?(fuel = Limits.default ()) ?window ?(strategy = Delta.Seminaive)
-    ?(join = Join.Fused) ?hashcons ?(advice = Advice.none) defs db =
-  scoped hashcons @@ fun () ->
+let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
   Obs.span "rec_eval" @@ fun () ->
   let inlined = Defs.inline_all defs in
   let builtins = Defs.builtins inlined in
@@ -185,7 +174,7 @@ let solve ?(fuel = Limits.default ()) ?window ?(strategy = Delta.Seminaive)
      body loses eligibility falls back to full recomputation, which
      visits identical maps on identical iterations. *)
   let eligible_for bodies =
-    match strategy with
+    match advice.Advice.strategy with
     | Delta.Naive -> fun _ -> false
     | Delta.Seminaive ->
       let table = List.map (fun (n, b) -> (n, Delta.eligible names b)) bodies in
@@ -245,8 +234,7 @@ let solve ?(fuel = Limits.default ()) ?window ?(strategy = Delta.Seminaive)
                 clip window (project (eval_bounds current b))
               else
                 let derived =
-                  Delta.derive ~builtins ~join ~join_mode:advice.Advice.join_mode
-                    ~join_par:advice.Advice.join_par
+                  Delta.derive ~builtins ~advice
                     ~eval:(fun e -> project (eval_bounds current e))
                     ~eval_diff_right:(fun e -> opposite (eval_bounds current e))
                     ~deltas b
@@ -285,7 +273,7 @@ let solve ?(fuel = Limits.default ()) ?window ?(strategy = Delta.Seminaive)
       let highs =
         phase_lfp ~bodies ~eligible ~label:"high"
           ~eval_bounds:(fun highs_cur e ->
-            eval_vset builtins db lows_prev highs_cur fuel strategy join advice [] e)
+            eval_vset builtins db lows_prev highs_cur fuel advice [] e)
           ~project:(fun s -> s.high)
           ~opposite:(fun s -> s.low)
       in
@@ -293,14 +281,14 @@ let solve ?(fuel = Limits.default ()) ?window ?(strategy = Delta.Seminaive)
       let lows =
         phase_lfp ~bodies ~eligible ~label:"low"
           ~eval_bounds:(fun lows_cur e ->
-            eval_vset builtins db lows_cur highs fuel strategy join advice [] e)
+            eval_vset builtins db lows_cur highs fuel advice [] e)
           ~project:(fun s -> s.low)
           ~opposite:(fun s -> s.high)
       in
       (highs, lows)
     in
     if Smap.equal Value.equal lows lows_prev then
-      { lows; highs; defs = inlined; db; fuel; window; strategy; join; advice; rounds }
+      { lows; highs; defs; db; fuel; advice; rounds }
     else outer bodies eligible lows (rounds + 1)
   in
   outer bodies (eligible_for bodies) empty_map 1
@@ -312,20 +300,20 @@ let constant sol name =
 
 let rounds sol = sol.rounds
 
-let eval ?fuel ?window ?strategy ?join ?hashcons ?advice defs db expr =
-  scoped hashcons @@ fun () ->
-  let sol = solve ?fuel ?window ?strategy ?join ?advice defs db in
-  let inlined_expr = Defs.inline sol.defs (Defs.inline defs expr) in
+let query sol expr =
+  let inlined_expr = Defs.inline sol.defs expr in
   let inlined_expr =
     if Advice.is_none sol.advice then inlined_expr
     else sol.advice.Advice.rewrite inlined_expr
   in
-  eval_vset (Defs.builtins sol.defs) sol.db sol.lows sol.highs sol.fuel sol.strategy
-    sol.join sol.advice [] inlined_expr
+  eval_vset (Defs.builtins sol.defs) sol.db sol.lows sol.highs sol.fuel
+    sol.advice [] inlined_expr
 
-let well_defined ?fuel ?window ?strategy ?join ?hashcons ?advice defs db =
-  scoped hashcons @@ fun () ->
-  let sol = solve ?fuel ?window ?strategy ?join ?advice defs db in
+let eval ?fuel ?window ?advice defs db expr =
+  query (solve ?fuel ?window ?advice defs db) expr
+
+let well_defined ?fuel ?window ?advice defs db =
+  let sol = solve ?fuel ?window ?advice defs db in
   List.for_all
     (fun name -> is_defined (constant sol name))
     (Defs.constant_names sol.defs)

@@ -41,9 +41,6 @@ type solution
 val solve :
   ?fuel:Limits.fuel ->
   ?window:Value.t ->
-  ?strategy:Delta.strategy ->
-  ?join:Join.mode ->
-  ?hashcons:Value.Hashcons.mode ->
   ?advice:Advice.t ->
   Defs.t ->
   Db.t ->
@@ -56,28 +53,20 @@ val solve :
     outside the window cannot flow back in (true of all bundled
     examples).
 
-    [strategy] (default [Seminaive]) selects how each phase's least
+    [advice] (default {!Advice.none}) is the evaluator configuration.
+    Its [strategy] (default [Seminaive]) selects how each phase's least
     fixpoint is computed: per defined constant, iterations join only the
     delta-derived new tuples against the accumulated bound when the
     body's defined constants occur delta-linearly, falling back to full
-    recomputation otherwise (and for nested [IFP]s likewise, per bound).
-    Both strategies visit byte-identical bounds on identical iterations;
-    [Naive] is the benchmark baseline.
-
-    [join] (default [Fused]) evaluates [Select (p, Product _)] nodes with
-    an extractable equi-key as hash joins, on both bounds independently
-    (see {!Join}); [Unfused] materialises products and filters. Both
-    modes compute byte-identical bounds and spend identical fuel.
-
-    [hashcons] scopes {!Value.Hashcons.with_mode} over the computation —
-    [Off] is the structural-equality ablation baseline; omitted, the
-    ambient mode is left untouched. Either mode computes byte-identical
-    bounds and spends identical fuel.
-
-    [advice] (default {!Advice.none}) installs planner hooks: every
-    constant body is rewritten once before solving, and the per-node
-    overrides apply to both bounds of each advised node. Any advice
-    built by [Recalg.Plan] preserves both bounds byte for byte. *)
+    recomputation otherwise (and for nested [IFP]s likewise, per bound);
+    [Naive] is the reference oracle. Its [join] (default [Fused])
+    evaluates [Select (p, Product _)] nodes with an extractable equi-key
+    as hash joins, on both bounds independently (see {!Join});
+    [Unfused] materialises products and filters. Its planner hooks
+    rewrite every constant body once before solving, and the per-node
+    overrides apply to both bounds of each advised node. Every strategy,
+    join mode and advice built by [Recalg.Plan] computes byte-identical
+    bounds and spends identical fuel. *)
 
 val constant : solution -> string -> vset
 (** Raises {!Undefined_relation} for an unknown name. *)
@@ -85,25 +74,24 @@ val constant : solution -> string -> vset
 val rounds : solution -> int
 (** Outer alternating-fixpoint rounds used — benchmark instrumentation. *)
 
+val query : solution -> Expr.t -> vset
+(** Evaluate a query expression in a solved system, under the solution's
+    fuel and advice. The query is inlined against the definitions given
+    to {!solve}; nothing is re-solved. *)
+
 val eval :
   ?fuel:Limits.fuel ->
   ?window:Value.t ->
-  ?strategy:Delta.strategy ->
-  ?join:Join.mode ->
-  ?hashcons:Value.Hashcons.mode ->
   ?advice:Advice.t ->
   Defs.t ->
   Db.t ->
   Expr.t ->
   vset
-(** Solve, then evaluate a query expression in the solution. *)
+(** [solve], then {!query}. *)
 
 val well_defined :
   ?fuel:Limits.fuel ->
   ?window:Value.t ->
-  ?strategy:Delta.strategy ->
-  ?join:Join.mode ->
-  ?hashcons:Value.Hashcons.mode ->
   ?advice:Advice.t ->
   Defs.t ->
   Db.t ->

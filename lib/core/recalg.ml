@@ -34,7 +34,6 @@ module Interner = Recalg_kernel.Interner
 module Obs = struct
   module Event = Recalg_obs.Event
   module Sink = Recalg_obs.Sink
-  module Summary = Recalg_obs.Summary
   module Histogram = Recalg_obs.Histogram
   module Metrics = Recalg_obs.Metrics
   include Recalg_obs.Obs

@@ -14,8 +14,8 @@
     operators (product, join) follow the expansion
     [Δ(a ⋈ b) = Δa ⋈ b + a ⋈ Δb + Δa ⋈ Δb]. See DESIGN.md §8.
 
-    Keys compare with {!Value.compare}; with hash-consing on (PR 3) the
-    dominating comparisons short-circuit on physical equality, so the maps
+    Keys compare with {!Value.compare}; values are hash-consed, so the
+    dominating comparisons short-circuit on physical equality and the maps
     are cheap even over deep constructor terms. *)
 
 type t

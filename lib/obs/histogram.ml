@@ -112,8 +112,7 @@ let fold f t acc =
   !acc
 
 (* Exact quantile of a float sample, nearest-rank convention — the
-   reference the error-bound tests compare against, and what
-   {!Summary} uses for its per-span percentiles. *)
+   reference the error-bound tests compare against. *)
 let exact_quantile values q =
   match values with
   | [] -> 0.

@@ -47,5 +47,4 @@ val fold : (low:int -> high:int -> count:int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val exact_quantile : float list -> float -> float
 (** Exact nearest-rank quantile of a float sample ([0.] when empty) —
-    the reference for the error-bound tests, shared with
-    {!Summary}'s per-span percentiles. *)
+    the reference for the error-bound tests. *)

@@ -17,7 +17,7 @@ open Recalg_kernel
    installation happens on the main domain before any parallel region
    (visibility piggybacks on the pool's mutex ordering); emission
    serialises through [emit_lock] while the pool is live, so stateful
-   sinks (jsonl channels, memory buffers, Summary accumulators) never
+   sinks (jsonl channels, memory buffers) never
    see concurrent [emit]s. Metrics recording needs no lock: each domain
    writes its own registry shard. *)
 let enabled_flag = ref false

@@ -39,15 +39,16 @@ val schedule : t -> (string * string list) list list
     Components of one level are mutually independent. *)
 
 val eval_pred :
-  ?fuel:Limits.fuel -> ?strategy:Delta.strategy ->
-  ?advice:Recalg_algebra.Advice.t -> t -> string -> Value.t list list
+  ?fuel:Limits.fuel -> ?advice:Recalg_algebra.Advice.t -> t -> string ->
+  Value.t list list
 (** Evaluate one translated predicate to its set of argument tuples.
-    [strategy] selects semi-naive (default) or naive [IFP] iteration in
-    {!Recalg_algebra.Eval.eval}. *)
+    [advice] is the {!Recalg_algebra.Eval.eval} configuration (e.g. its
+    [strategy] selects semi-naive, the default, or naive [IFP]
+    iteration). *)
 
 val eval_all :
-  ?fuel:Limits.fuel -> ?strategy:Delta.strategy ->
-  ?advice:Recalg_algebra.Advice.t -> t -> (string * Value.t) list
+  ?fuel:Limits.fuel -> ?advice:Recalg_algebra.Advice.t -> t ->
+  (string * Value.t) list
 (** Materialise every translated predicate, level by level: the
     components of each level evaluate as independent
     {!Recalg_kernel.Pool} tasks (sequentially at pool size 1) against

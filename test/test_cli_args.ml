@@ -80,9 +80,60 @@ let test_exit_codes () =
         Alcotest.(check int) "degraded run reports the exhausted resource" 3
           (run "--fuel 1000 --degrade"))
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The [alg] verb solves its system once: the query is answered from the
+   solution already printed, not by a second solve. Output pinned byte
+   for byte. *)
+let triangle_stdout =
+  "r = {[1, 1], [2, 1], [3, 2], [4, 2], [5, 3], [6, 3], [7, 4], [8, 4]}\n\
+   s = {[1, 1], [2, 2], [3, 3], [4, 4], [5, 5], [6, 6], [7, 7], [8, 8]}\n\
+   t = {[1, 100], [2, 200]}\n\
+   q = {[[[1, 1], [1, 1]], [1, 100]], [[[2, 1], [1, 1]], [1, 100]], \
+   [[[3, 2], [2, 2]], [2, 200]], [[[4, 2], [2, 2]], [2, 200]]}\n\
+   query = {[[[1, 1], [1, 1]], [1, 100]], [[[2, 1], [1, 1]], [1, 100]], \
+   [[[3, 2], [2, 2]], [2, 200]], [[[4, 2], [2, 2]], [2, 200]]}\n"
+
+let test_alg_single_solve () =
+  match find_exe () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    let program =
+      match
+        List.find_opt Sys.file_exists
+          [ "../examples/programs/triangle.alg"; "examples/programs/triangle.alg" ]
+      with
+      | Some p -> p
+      | None -> Alcotest.fail "examples/programs/triangle.alg not found"
+    in
+    let metrics = Filename.temp_file "recalg_metrics" ".prom" in
+    let out = Filename.temp_file "recalg_alg" ".out" in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun f -> try Sys.remove f with Sys_error _ -> ())
+          [ metrics; metrics ^ ".json"; out ])
+      (fun () ->
+        let rc =
+          Sys.command
+            (Printf.sprintf "%s alg %s --metrics %s > %s 2>/dev/null"
+               (Filename.quote exe) (Filename.quote program)
+               (Filename.quote metrics) (Filename.quote out))
+        in
+        Alcotest.(check int) "exit 0" 0 rc;
+        Alcotest.(check string) "stdout" triangle_stdout (read_file out);
+        Alcotest.(check bool) "rec_eval span entered once" true
+          (contains ~needle:"{\"span\": \"rec_eval\", \"calls\": 1,"
+             (read_file (metrics ^ ".json"))))
+
 let suite =
   [
     Alcotest.test_case "all verbs share --fuel/--trace/--profile" `Quick
       test_parity;
     Alcotest.test_case "resource exhaustion exit codes" `Quick test_exit_codes;
+    Alcotest.test_case "alg solves once" `Quick test_alg_single_solve;
   ]

@@ -176,25 +176,7 @@ let test_stats () =
   Alcotest.(check bool) "rebuild answered from the table" true
     (s2.Value.Stats.hits > s1.Value.Stats.hits);
   Alcotest.(check bool) "physically shared" true (v == v');
-  Alcotest.(check bool) "live nodes positive" true (s2.Value.Stats.live > 0);
-  Alcotest.(check bool) "ids stamped covers live" true
-    (s2.Value.Stats.total_ids >= s2.Value.Stats.live);
-  Value.Hashcons.with_mode Value.Hashcons.Off (fun () ->
-      Alcotest.(check bool) "mode off visible in snapshot" false
-        (Value.Stats.snapshot ()).Value.Stats.enabled);
-  Alcotest.(check bool) "mode restored" true
-    (Value.Stats.snapshot ()).Value.Stats.enabled
-
-let test_hashcons_off () =
-  let mk () = Value.cstr "f" [ vi 1; vset [ vi 1; vi 2 ] ] in
-  let a = mk () in
-  Value.Hashcons.with_mode Value.Hashcons.Off (fun () ->
-      let b = mk () in
-      Alcotest.(check bool) "off-mode build not interned" false (a == b);
-      Alcotest.(check bool) "distinct ids" true (Value.id a <> Value.id b);
-      Alcotest.(check bool) "still equal" true (Value.equal a b);
-      Alcotest.(check int) "compare agrees" 0 (Value.compare a b);
-      Alcotest.(check int) "same hash" (Value.hash a) (Value.hash b))
+  Alcotest.(check bool) "live nodes positive" true (s2.Value.Stats.live > 0)
 
 (* Reference structural order — the seed's definition, reimplemented
    independently of the kernel: Int < Str < Bool < Sym < Tuple < Set <
@@ -242,7 +224,7 @@ let rec rebuild v =
   | Value.Cstr (f, xs) -> Value.cstr f (List.map rebuild xs)
 
 let prop_intern_physical =
-  (* With hash-consing on, structural equality IS physical equality:
+  (* Under hash-consing, structural equality IS physical equality:
      independently rebuilding a value lands on the identical node, and
      two values are equal exactly when they are the same pointer. *)
   QCheck.Test.make ~name:"hash-consing: equal ⟺ physically equal" ~count:300
@@ -250,25 +232,126 @@ let prop_intern_physical =
     (fun (x, y) -> rebuild x == x && Value.equal x y = (x == y))
 
 let prop_compare_reference =
-  (* The kernel's compare (physical fast path) and its Off-mode walk both
-     agree in sign with the independent structural reference. *)
+  (* The kernel's compare (physical fast path) agrees in sign with the
+     independent structural reference. *)
   let sign c = Stdlib.compare c 0 in
   QCheck.Test.make ~name:"compare agrees with structural reference" ~count:300
     QCheck.(pair Tgen.deep_value_arb Tgen.deep_value_arb)
-    (fun (x, y) ->
-      sign (Value.compare x y) = sign (ref_compare x y)
-      && Value.Hashcons.with_mode Value.Hashcons.Off (fun () ->
-             sign (Value.compare x y) = sign (ref_compare x y)))
+    (fun (x, y) -> sign (Value.compare x y) = sign (ref_compare x y))
 
-let prop_hash_mode_agree =
-  (* hash returns the same number whether it reads the memo (On) or
-     re-walks the structure (Off); equal values hash equally. *)
-  QCheck.Test.make ~name:"hash: memoized = structural re-walk" ~count:300
-    QCheck.(pair Tgen.deep_value_arb Tgen.deep_value_arb)
-    (fun (x, y) ->
-      Value.hash x
-      = Value.Hashcons.with_mode Value.Hashcons.Off (fun () -> Value.hash x)
-      && ((not (Value.equal x y)) || Value.hash x = Value.hash y))
+(* A plain-tree model of [Value.t] that shares no code with the kernel:
+   no interning, no memoized hash, sets as sorted duplicate-free lists
+   under the model's own order. The structural oracle for the kernel's
+   pointer equality, short-circuiting compare and field-read hash. *)
+type model =
+  | M_int of int
+  | M_str of string
+  | M_bool of bool
+  | M_sym of string
+  | M_tuple of model list
+  | M_set of model list
+  | M_cstr of string * model list
+
+let rec model_compare a b =
+  let rank = function
+    | M_int _ -> 0
+    | M_str _ -> 1
+    | M_bool _ -> 2
+    | M_sym _ -> 3
+    | M_tuple _ -> 4
+    | M_set _ -> 5
+    | M_cstr _ -> 6
+  in
+  match a, b with
+  | M_int x, M_int y -> Stdlib.compare x y
+  | M_str x, M_str y | M_sym x, M_sym y -> String.compare x y
+  | M_bool x, M_bool y -> Stdlib.compare x y
+  | M_tuple xs, M_tuple ys | M_set xs, M_set ys -> List.compare model_compare xs ys
+  | M_cstr (f, xs), M_cstr (g, ys) ->
+    let c = String.compare f g in
+    if c <> 0 then c else List.compare model_compare xs ys
+  | _, _ -> Stdlib.compare (rank a) (rank b)
+
+(* Canonical form: every set sorted and duplicate free, bottom up. *)
+let rec canon = function
+  | (M_int _ | M_str _ | M_bool _ | M_sym _) as m -> m
+  | M_tuple xs -> M_tuple (List.map canon xs)
+  | M_set xs -> M_set (List.sort_uniq model_compare (List.map canon xs))
+  | M_cstr (f, xs) -> M_cstr (f, List.map canon xs)
+
+let rec value_of_model = function
+  | M_int x -> Value.int x
+  | M_str s -> Value.str s
+  | M_bool b -> Value.bool b
+  | M_sym s -> Value.sym s
+  | M_tuple xs -> Value.tuple (List.map value_of_model xs)
+  | M_set xs -> Value.set (List.map value_of_model xs)
+  | M_cstr (f, xs) -> Value.cstr f (List.map value_of_model xs)
+
+(* A different spelling of the same abstract value: set elements
+   reversed and the first one repeated. *)
+let rec respell = function
+  | (M_int _ | M_str _ | M_bool _ | M_sym _) as m -> m
+  | M_tuple xs -> M_tuple (List.map respell xs)
+  | M_set [] -> M_set []
+  | M_set (x :: xs) -> M_set (List.rev_map respell (x :: xs) @ [ respell x ])
+  | M_cstr (f, xs) -> M_cstr (f, List.map respell xs)
+
+let rec pp_model ppf = function
+  | M_int x -> Fmt.int ppf x
+  | M_str s -> Fmt.pf ppf "%S" s
+  | M_bool b -> Fmt.bool ppf b
+  | M_sym s -> Fmt.string ppf s
+  | M_tuple xs -> Fmt.pf ppf "[%a]" Fmt.(list ~sep:comma pp_model) xs
+  | M_set xs -> Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma pp_model) xs
+  | M_cstr (f, xs) -> Fmt.pf ppf "%s(%a)" f Fmt.(list ~sep:comma pp_model) xs
+
+let model_gen =
+  QCheck.Gen.(
+    let leaf =
+      oneof
+        [ map (fun x -> M_int x) (int_range (-3) 6);
+          map (fun s -> M_str s) (oneofl [ "s"; "t" ]);
+          map (fun b -> M_bool b) bool;
+          map (fun s -> M_sym s) (oneofl [ "a"; "b"; "c" ]) ]
+    in
+    let rec node depth =
+      if depth = 0 then leaf
+      else
+        let kids = list_size (int_range 0 3) (node (depth - 1)) in
+        frequency
+          [ (3, leaf);
+            (2, map (fun xs -> M_tuple xs) kids);
+            (2, map (fun xs -> M_set xs) kids);
+            ( 2,
+              map2
+                (fun f xs -> M_cstr (f, xs))
+                (oneofl [ "f"; "g"; "succ" ])
+                (list_size (int_range 0 2) (node (depth - 1))) ) ]
+    in
+    node 4)
+
+let prop_value_model =
+  (* Pairs are independent draws, a value and a respelling of it, or a
+     value and itself built twice — so equal pairs are common. *)
+  let sign c = Stdlib.compare c 0 in
+  let pair_gen =
+    QCheck.Gen.(
+      frequency
+        [ (2, pair model_gen model_gen);
+          (1, map (fun m -> (m, respell m)) model_gen);
+          (1, map (fun m -> (m, m)) model_gen) ])
+  in
+  QCheck.Test.make ~name:"value kernel = plain-tree model" ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) -> Fmt.str "%a  vs  %a" pp_model a pp_model b)
+       pair_gen)
+    (fun (ma, mb) ->
+      let a = value_of_model ma and b = value_of_model mb in
+      let ca = canon ma and cb = canon mb in
+      Value.equal a b = (ca = cb)
+      && sign (Value.compare a b) = sign (model_compare ca cb)
+      && ((not (Value.equal a b)) || Value.hash a = Value.hash b))
 
 let prop_parser_reinterns =
   (* Printing a value and parsing it back re-interns every node: the
@@ -486,10 +569,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mem_union;
     QCheck_alcotest.to_alcotest prop_kleene_monotone;
     Alcotest.test_case "hashcons stats" `Quick test_stats;
-    Alcotest.test_case "hashcons off mode" `Quick test_hashcons_off;
     QCheck_alcotest.to_alcotest prop_intern_physical;
     QCheck_alcotest.to_alcotest prop_compare_reference;
-    QCheck_alcotest.to_alcotest prop_hash_mode_agree;
+    QCheck_alcotest.to_alcotest prop_value_model;
     QCheck_alcotest.to_alcotest prop_parser_reinterns;
     QCheck_alcotest.to_alcotest prop_mem_reference;
     QCheck_alcotest.to_alcotest prop_inter_diff_reference;

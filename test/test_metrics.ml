@@ -270,32 +270,6 @@ let test_registry_renderings () =
         (contains ~sub report))
     [ "p50"; "p99"; "fuel" ]
 
-(* --- Summary exact percentiles (the --profile table columns) --- *)
-
-let test_summary_quantiles () =
-  let sum = Obs.Summary.create () in
-  Obs.with_sink (Obs.Summary.sink sum) (fun () ->
-      let busy n =
-        Obs.span "w" (fun () -> ignore (Sys.opaque_identity (chain_db n)))
-      in
-      List.iter busy [ 1; 1; 400; 1_500; 1 ];
-      Obs.span "once" (fun () -> ()));
-  let q p = Obs.Summary.span_quantile_ms sum "w" p in
-  Alcotest.(check bool) "p50 <= p90" true (q 0.5 <= q 0.9);
-  Alcotest.(check bool) "p90 <= p99" true (q 0.9 <= q 0.99);
-  Alcotest.(check bool) "min <= p50" true (Obs.Summary.span_min_ms sum "w" <= q 0.5);
-  Alcotest.(check bool) "p99 <= max" true
-    (q 0.99 <= Obs.Summary.span_max_ms sum "w");
-  (* A single-call span: every percentile is that call, exactly. *)
-  let total = Obs.Summary.span_total_ms sum "once" in
-  Alcotest.(check (float 1e-9)) "single-call p50" total
-    (Obs.Summary.span_quantile_ms sum "once" 0.5);
-  Alcotest.(check (float 1e-9)) "single-call p99" total
-    (Obs.Summary.span_quantile_ms sum "once" 0.99);
-  (* Unseen spans answer zero, not an error. *)
-  Alcotest.(check (float 0.)) "unseen quantile" 0.
-    (Obs.Summary.span_quantile_ms sum "nope" 0.5)
-
 (* --- the zero-interference contract, per engine, at 1 and 4 domains --- *)
 
 let transparent_at ~budget eval_pair =
@@ -556,9 +530,11 @@ let test_drift_live_stale_agree () =
   let ifp = Algebra.Expr.ifp "x" drift_body in
   let stats = Plan.Stats.of_db db in
   let eval advice =
+    let advice = Option.value advice ~default:Algebra.Advice.none in
     Algebra.Eval.eval
       ~fuel:(Limits.of_int 1_000_000_000)
-      ~strategy:Algebra.Delta.Naive ?advice no_defs db ifp
+      ~advice:{ advice with strategy = Algebra.Delta.Naive }
+      no_defs db ifp
   in
   let plain = eval None in
   let stale = Plan.Planner.create ~stats Plan.Planner.Greedy in
@@ -592,8 +568,6 @@ let suite =
       test_registry_span_attribution;
     Alcotest.test_case "registry: prometheus/json/report renderings" `Quick
       test_registry_renderings;
-    Alcotest.test_case "summary: exact p50/p90/p99" `Quick
-      test_summary_quantiles;
     QCheck_alcotest.to_alcotest prop_metrics_transparent_eval;
     QCheck_alcotest.to_alcotest prop_metrics_transparent_rec;
     QCheck_alcotest.to_alcotest prop_metrics_transparent_seminaive;

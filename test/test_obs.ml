@@ -1,7 +1,8 @@
 (* Observability tests: the zero-cost-when-off invariant (traced and
    untraced runs are byte-identical in results and fuel), exact fixpoint
-   iteration counts in the Summary aggregates, the JSONL event schema,
-   and the span-path context on fuel exhaustion. *)
+   iteration counts read from a memory sink's event series and from the
+   retained metrics registry, the JSONL event schema, and the span-path
+   context on fuel exhaustion. *)
 
 open Recalg
 
@@ -97,23 +98,44 @@ let test_traced_untraced_identical_valid () =
   Alcotest.(check bool) "same interp" true (Datalog.Interp.equal plain traced);
   Alcotest.(check (option int)) "same fuel" plain_fuel traced_fuel
 
-(* --- exact fixpoint iteration counts in the Summary --- *)
+(* --- exact fixpoint iteration counts --- *)
+
+(* Run [f] under a memory sink; return its result and the events. *)
+let recorded f =
+  let mem, events = Obs.Sink.memory () in
+  let r = Obs.with_sink mem f in
+  (r, events ())
+
+(* The increments of one counter, in emission order. *)
+let counter_series events name =
+  List.filter_map
+    (function
+      | Obs.Event.Count { counter; n; _ } when String.equal counter name -> Some n
+      | _ -> None)
+    events
+
+(* Run [f] with a fresh metrics registry collecting; return its result
+   and the snapshot. *)
+let collected f =
+  Obs.Metrics.reset ();
+  let r = Obs.Metrics.with_collecting f in
+  (r, Obs.Metrics.snapshot ())
 
 let test_summary_tc_iterations () =
   (* Semi-naive IFP over chain-n: the delta shrinks by one path length
      per round — n productive iterations plus the empty-delta one. *)
   let n = 6 in
-  let sum = Obs.Summary.create () in
-  let r =
-    Obs.with_sink (Obs.Summary.sink sum) (fun () ->
-        Algebra.Eval.eval ~strategy:Algebra.Delta.Seminaive no_defs (chain_db n)
-          tc_ifp)
+  let r, events =
+    recorded (fun () ->
+        Algebra.Eval.eval
+          ~advice:{ Algebra.Advice.none with strategy = Algebra.Delta.Seminaive }
+          no_defs (chain_db n) tc_ifp)
   in
   Alcotest.(check int) "tc size" (n * (n + 1) / 2) (Value.cardinal r);
   Alcotest.(check int) "ifp iterations" (n + 1)
-    (Obs.Summary.counter_events sum "eval/ifp_iter");
+    (List.length (counter_series events "eval/ifp_iter"));
   Alcotest.(check (list int)) "delta sizes" [ 6; 5; 4; 3; 2; 1; 0 ]
-    (Obs.Summary.counter_series sum "eval/ifp_delta")
+    (counter_series events "eval/ifp_delta")
 
 let test_summary_valid_rounds () =
   (* The win/move game: the profile's round count must equal the
@@ -121,18 +143,14 @@ let test_summary_valid_rounds () =
   let edb = chain_moves 9 in
   let pg = Datalog.Grounder.ground win_program edb in
   let expected = Datalog.Valid.iterations pg in
-  let sum = Obs.Summary.create () in
-  let interp =
-    Obs.with_sink (Obs.Summary.sink sum) (fun () ->
-        Datalog.Run.valid win_program edb)
-  in
+  let interp, sn = collected (fun () -> Datalog.Run.valid win_program edb) in
   Alcotest.(check bool) "solved" true
     (Datalog.Interp.equal interp (Datalog.Valid.solve pg));
   Alcotest.(check int) "valid rounds" expected
-    (Obs.Summary.counter_events sum "valid/round");
+    (Obs.Metrics.counter_events sn "valid/round");
   let round_spans =
     List.init expected (fun i ->
-        Obs.Summary.span_calls sum
+        Obs.Metrics.span_calls sn
           (Fmt.str "run.valid > valid > round %d" (i + 1)))
   in
   Alcotest.(check (list int)) "one span per round"
@@ -142,57 +160,28 @@ let test_summary_valid_rounds () =
 let test_summary_grounder_counters () =
   let edb = chain_moves 8 in
   let pg = Datalog.Grounder.ground win_program edb in
-  let sum = Obs.Summary.create () in
-  let _ =
-    Obs.with_sink (Obs.Summary.sink sum) (fun () ->
-        Datalog.Grounder.ground win_program edb)
-  in
+  let _, sn = collected (fun () -> Datalog.Grounder.ground win_program edb) in
   Alcotest.(check int) "atom universe" (Datalog.Propgm.n_atoms pg)
-    (Obs.Summary.counter_total sum "ground/atoms");
+    (Obs.Metrics.counter_total sn "ground/atoms");
   Alcotest.(check bool) "rounds reported" true
-    (Obs.Summary.counter_events sum "ground/round" >= 1);
+    (Obs.Metrics.counter_events sn "ground/round" >= 1);
   Alcotest.(check bool) "envelope reported" true
-    (Obs.Summary.counter_total sum "ground/envelope" > 0)
-
-let test_summary_span_extrema () =
-  (* Per-span min/max/mean: three spans of the same name, one of which
-     does measurably more work. The clock is not ours to pin down, so
-     assert the order invariants rather than absolute times. *)
-  let sum = Obs.Summary.create () in
-  Obs.with_sink (Obs.Summary.sink sum) (fun () ->
-      let busy n = Obs.span "w" (fun () -> ignore (Sys.opaque_identity (chain_db n))) in
-      busy 1;
-      busy 2_000;
-      busy 1);
-  let min_ms = Obs.Summary.span_min_ms sum "w"
-  and max_ms = Obs.Summary.span_max_ms sum "w"
-  and mean_ms = Obs.Summary.span_mean_ms sum "w"
-  and total_ms = Obs.Summary.span_total_ms sum "w" in
-  Alcotest.(check int) "calls" 3 (Obs.Summary.span_calls sum "w");
-  Alcotest.(check bool) "min <= mean" true (min_ms <= mean_ms);
-  Alcotest.(check bool) "mean <= max" true (mean_ms <= max_ms);
-  Alcotest.(check bool) "mean = total/calls" true
-    (Float.abs ((mean_ms *. 3.) -. total_ms) <= 1e-9 *. Float.max 1. total_ms);
-  Alcotest.(check bool) "max <= total" true (max_ms <= total_ms);
-  (* An unseen span reports zeros, not an error. *)
-  Alcotest.(check int) "unseen calls" 0 (Obs.Summary.span_calls sum "nope");
-  Alcotest.(check (float 0.)) "unseen min" 0. (Obs.Summary.span_min_ms sum "nope");
-  Alcotest.(check (float 0.)) "unseen max" 0. (Obs.Summary.span_max_ms sum "nope");
-  Alcotest.(check (float 0.)) "unseen mean" 0. (Obs.Summary.span_mean_ms sum "nope")
+    (Obs.Metrics.counter_total sn "ground/envelope" > 0)
 
 let test_summary_rewrite_cache () =
   let spec = Spec.Prelude.nat_spec in
   let rec nat k = if k = 0 then Spec.Term.const "ZERO" else Spec.Term.op "SUCC" [ nat (k - 1) ] in
   let eq = Spec.Term.op "EQ" [ nat 3; nat 3 ] in
-  let sum = Obs.Summary.create () in
-  Obs.with_sink (Obs.Summary.sink sum) (fun () ->
-      let cache = Spec.Rewrite.cache () in
-      ignore (Spec.Rewrite.normalize ~cache spec eq);
-      ignore (Spec.Rewrite.normalize ~cache spec eq));
+  let (), events =
+    recorded (fun () ->
+        let cache = Spec.Rewrite.cache () in
+        ignore (Spec.Rewrite.normalize ~cache spec eq);
+        ignore (Spec.Rewrite.normalize ~cache spec eq))
+  in
   Alcotest.(check bool) "first normalize misses" true
-    (Obs.Summary.counter_events sum "rewrite/cache_miss" >= 1);
+    (List.length (counter_series events "rewrite/cache_miss") >= 1);
   Alcotest.(check bool) "second normalize hits" true
-    (Obs.Summary.counter_events sum "rewrite/cache_hit" >= 1)
+    (List.length (counter_series events "rewrite/cache_hit") >= 1)
 
 (* --- the fuel-exhaustion span context --- *)
 
@@ -263,14 +252,14 @@ let test_jsonl_schema () =
 
 let test_tee_composition () =
   let outer, outer_events = Obs.Sink.memory () in
-  let sum = Obs.Summary.create () in
+  let inner, inner_events = Obs.Sink.memory () in
   Obs.with_sink outer (fun () ->
-      Obs.with_tee (Obs.Summary.sink sum) (fun () ->
+      Obs.with_tee inner (fun () ->
           ignore (Algebra.Eval.eval no_defs (chain_db 3) tc_ifp)));
   Alcotest.(check bool) "outer sink saw the events" true
     (List.length (outer_events ()) > 0);
-  Alcotest.(check bool) "teed summary aggregated too" true
-    (Obs.Summary.counter_events sum "eval/ifp_iter" > 0)
+  Alcotest.(check bool) "teed sink saw them too" true
+    (counter_series (inner_events ()) "eval/ifp_iter" <> [])
 
 (* --- property: tracing never changes results or fuel --- *)
 
@@ -281,9 +270,9 @@ let prop_valid_trace_transparent =
       let plain, plain_fuel =
         spent 200_000 (fun ~fuel -> Datalog.Run.valid ~fuel win_program edb)
       in
-      let sum = Obs.Summary.create () in
+      let mem, _ = Obs.Sink.memory () in
       let traced, traced_fuel =
-        Obs.with_sink (Obs.Summary.sink sum) (fun () ->
+        Obs.with_sink mem (fun () ->
             spent 200_000 (fun ~fuel -> Datalog.Run.valid ~fuel win_program edb))
       in
       Datalog.Interp.equal plain traced && plain_fuel = traced_fuel)
@@ -297,17 +286,17 @@ let prop_ifp_trace_transparent =
              List.map (fun (a, b) -> Value.pair (Value.sym a) (Value.sym b)) edges)
           ]
       in
+      let advice =
+        { Algebra.Advice.none with strategy = Algebra.Delta.Seminaive }
+      in
       let plain, plain_fuel =
-        spent 200_000 (fun ~fuel ->
-            Algebra.Eval.eval ~fuel ~strategy:Algebra.Delta.Seminaive no_defs db
-              tc_ifp)
+        spent 200_000 (fun ~fuel -> Algebra.Eval.eval ~fuel ~advice no_defs db tc_ifp)
       in
       let mem, _ = Obs.Sink.memory () in
       let traced, traced_fuel =
         Obs.with_sink mem (fun () ->
             spent 200_000 (fun ~fuel ->
-                Algebra.Eval.eval ~fuel ~strategy:Algebra.Delta.Seminaive no_defs
-                  db tc_ifp))
+                Algebra.Eval.eval ~fuel ~advice no_defs db tc_ifp))
       in
       Value.equal plain traced && plain_fuel = traced_fuel)
 
@@ -327,8 +316,6 @@ let suite =
       test_summary_valid_rounds;
     Alcotest.test_case "summary: grounder counters" `Quick
       test_summary_grounder_counters;
-    Alcotest.test_case "summary: span min/max/mean" `Quick
-      test_summary_span_extrema;
     Alcotest.test_case "summary: rewrite cache hit/miss" `Quick
       test_summary_rewrite_cache;
     Alcotest.test_case "fuel message clean when untraced" `Quick

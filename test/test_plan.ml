@@ -351,7 +351,9 @@ let test_qcheck_ifp_planned =
       List.for_all
         (fun strategy ->
           Value.equal expected
-            (Eval.eval ~strategy ~advice:(Planner.advice p) no_defs db tc))
+            (Eval.eval
+               ~advice:{ (Planner.advice p) with strategy }
+               no_defs db tc))
         [ Delta.Seminaive; Delta.Naive ])
 
 (* --- datalog: stats-driven body-literal ordering --- *)
