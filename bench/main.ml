@@ -396,29 +396,6 @@ let e9 () =
 
 
 (* ------------------------------------------------------------------ *)
-(* E10 — grounding ablation: semi-naive vs naive instantiation.        *)
-
-let e10 () =
-  U.hr "E10: grounder ablation, delta vs full re-instantiation";
-  U.row "%-14s %8s %8s %12s %12s %9s@." "workload" "atoms" "rules" "seminaive ms"
-    "naive ms" "slowdown";
-  let run name program edb =
-    let semi_ms, pg =
-      U.time_ms (fun () -> Datalog.Grounder.ground ~strategy:`Seminaive program edb)
-    in
-    let naive_ms, pg' =
-      U.time_ms (fun () -> Datalog.Grounder.ground ~strategy:`Naive program edb)
-    in
-    assert (Datalog.Propgm.n_atoms pg = Datalog.Propgm.n_atoms pg');
-    U.row "%-14s %8d %8d %12.2f %12.2f %8.1fx@." name (Datalog.Propgm.n_atoms pg)
-      (Array.length pg.Datalog.Propgm.rules) semi_ms naive_ms (naive_ms /. semi_ms)
-  in
-  List.iter
-    (fun n -> run (Fmt.str "tc-chain-%d" n) W.tc_program (W.edb_of ~pred:"e" (W.chain n)))
-    [ 16; 32; 64 ];
-  run "win-cycle-32" W.win_program (W.edb_of ~pred:"move" (W.cycle 32))
-
-(* ------------------------------------------------------------------ *)
 (* Micro-kernels through Bechamel's OLS analysis.                      *)
 
 let micro () =
@@ -1148,7 +1125,7 @@ let e16 () =
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
+    ("e7", e7); ("e8", e8); ("e9", e9);
     ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
   ]
 
@@ -1193,7 +1170,7 @@ let () =
           | None ->
             if String.equal name "micro" then micro ()
             else begin
-              Fmt.epr "unknown experiment %s (e1..e10, e12..e16, micro)@." name;
+              Fmt.epr "unknown experiment %s (e1..e9, e12..e16, micro)@." name;
               exit 2
             end)
         names

@@ -252,7 +252,8 @@ let report_stats t =
   if t.stats then Fmt.epr "%a@." Value.Stats.pp (Value.Stats.snapshot ())
 
 (* Exit-code contract (documented in the README): parse errors exit 2
-   before evaluation starts; resource exhaustion maps fuel -> 3,
+   before evaluation starts; an unsafe or untranslatable program and an
+   injected fault exit 1; resource exhaustion maps fuel -> 3,
    deadline -> 4, and cancellation/memory -> 5. *)
 let exit_code = function
   | Limits.Fuel -> 3
@@ -287,6 +288,14 @@ let with_reporting t f =
         (match e with
         | Limits.Resource_exhausted { kind; _ } -> exit_code kind
         | _ -> exit_code Limits.Fuel)
+    | Datalog.Relstore.Unsafe msg ->
+      (* A rule body no literal ordering can evaluate: the same report
+         and exit code as the stratified path's safety check. *)
+      Fmt.epr "error: unsafe program: %s@." msg;
+      code := 1
+    | Translate.Datalog_to_alg.Untranslatable msg ->
+      Fmt.epr "error: untranslatable program: %s@." msg;
+      code := 1
     | Faultinj.Injected { site; hit } ->
       (* Chaos runs (RECALG_FAULTS) die cleanly like any other abort:
          state already rolled back by the engines, trace file completed

@@ -49,6 +49,7 @@ module Datalog = struct
   module Safety = Recalg_datalog.Safety
   module Cardest = Recalg_datalog.Cardest
   module Stratify = Recalg_datalog.Stratify
+  module Relstore = Recalg_datalog.Relstore
   module Grounder = Recalg_datalog.Grounder
   module Propgm = Recalg_datalog.Propgm
   module Fixpoint = Recalg_datalog.Fixpoint

@@ -42,17 +42,10 @@ let estimates program base =
   done;
   est
 
-let prefer program base =
-  let est = estimates program base in
-  fun lit ->
-    match lit with
-    | Literal.Pos a -> int_of_float (Float.min 1e9 (est a.Literal.pred))
-    | Literal.Neg _ | Literal.Eq _ | Literal.Neq _ -> 0
-
-(* Mid-fixpoint variant: a live reading (the actual store cardinality at
-   a round boundary) outranks the static envelope — the envelope only
-   ever bounds a recursive predicate from above, while the live count is
-   exact for the round about to run. *)
+(* A live reading (the actual store cardinality at a round boundary)
+   outranks the static envelope — the envelope only ever bounds a
+   recursive predicate from above, while the live count is exact for the
+   round about to run. [prefer] is the static-only case. *)
 let prefer_with ~live program base =
   let est = estimates program base in
   fun lit ->
@@ -62,3 +55,5 @@ let prefer_with ~live program base =
       | Some c -> min 1_000_000_000 (max 0 c)
       | None -> int_of_float (Float.min 1e9 (est a.Literal.pred)))
     | Literal.Neg _ | Literal.Eq _ | Literal.Neq _ -> 0
+
+let prefer program base = prefer_with ~live:(fun _ -> None) program base

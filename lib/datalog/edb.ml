@@ -11,41 +11,34 @@ type t = Tuples.t Smap.t
 
 let empty = Smap.empty
 
-let add pred tup db =
-  let existing = Option.value ~default:Tuples.empty (Smap.find_opt pred db) in
-  Smap.add pred (Tuples.add tup existing) db
+let relation db pred =
+  Option.value (Smap.find_opt pred db) ~default:Tuples.empty
+
+let add pred tup db = Smap.add pred (Tuples.add tup (relation db pred)) db
 
 let add_all pred tups db = List.fold_left (fun db tup -> add pred tup db) db tups
 
 let of_list l =
   List.fold_left (fun db (pred, tups) -> add_all pred tups db) empty l
 
-let mem db pred tup =
-  match Smap.find_opt pred db with
-  | Some set -> Tuples.mem tup set
-  | None -> false
+let mem db pred tup = Tuples.mem tup (relation db pred)
 
-let tuples db pred =
-  match Smap.find_opt pred db with
-  | Some set -> Tuples.elements set
-  | None -> []
+let tuples db pred = Tuples.elements (relation db pred)
+
+let with_relation pred set db =
+  if Tuples.is_empty set then Smap.remove pred db else Smap.add pred set db
 
 let preds db = List.map fst (Smap.bindings db)
 
-let cardinal db pred =
-  match Smap.find_opt pred db with
-  | Some set -> Tuples.cardinal set
-  | None -> 0
+let cardinal db pred = Tuples.cardinal (relation db pred)
 
 let remove pred tup db =
   match Smap.find_opt pred db with
   | None -> db
   | Some set ->
-    let set' = Tuples.remove tup set in
     (* Drop empty relations so a database that loses its last [pred]
        tuple equals one that never had the relation. *)
-    if Tuples.is_empty set' then Smap.remove pred db
-    else Smap.add pred set' db
+    with_relation pred (Tuples.remove tup set) db
 
 let union a b = Smap.union (fun _ x y -> Some (Tuples.union x y)) a b
 

@@ -7,6 +7,11 @@
 
 open Recalg_kernel
 
+module Tuples : Set.S with type elt = Value.t list
+(** The tuple sets every relation is stored as. The engines' relation
+    store ({!Relstore}) keeps its sections in the same sets, so base
+    relations enter it and results leave it by pointer. *)
+
 type t
 
 val empty : t
@@ -16,6 +21,12 @@ val of_list : (string * Value.t list list) list -> t
 val mem : t -> string -> Value.t list -> bool
 val tuples : t -> string -> Value.t list list
 (** Sorted, duplicate-free; empty list for an unknown relation. *)
+
+val relation : t -> string -> Tuples.t
+(** The relation's tuple set; empty for an unknown relation. *)
+
+val with_relation : string -> Tuples.t -> t -> t
+(** Replace a relation's tuples; an empty set removes the relation. *)
 
 val preds : t -> string list
 val cardinal : t -> string -> int

@@ -1,86 +1,18 @@
 open Recalg_kernel
 module Obs = Recalg_obs.Obs
-
-exception Unsafe of string
-
-module Tuples = Set.Make (struct
-  type t = Value.t list
-
-  let compare = List.compare Value.compare
-end)
-
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
-(* [full] and [delta] are disjoint: [discover] refuses tuples already in
-   either, and [promote] only moves tuples between the sections. Probing
-   both therefore enumerates exactly [full ∪ delta], without building the
-   union set. *)
-type store = {
-  mutable full : Tuples.t;  (* envelope facts from earlier rounds *)
-  mutable delta : Tuples.t; (* facts new in the current round *)
-  mutable next : Tuples.t;  (* facts discovered during this round *)
-  indexes : (int * int, Tuples.t Vtbl.t) Hashtbl.t;
-      (* (section, argument position) -> value at that position -> tuples
-         of the section. Sections: 0 = full, 1 = delta. Built lazily on
-         first probe, discarded by [promote] when the sections change. *)
-}
-
-let fresh_store () =
-  { full = Tuples.empty;
-    delta = Tuples.empty;
-    next = Tuples.empty;
-    indexes = Hashtbl.create 8 }
-
-let section_full = 0
-let section_delta = 1
-
-let section_tuples s section =
-  if section = section_full then s.full else s.delta
-
-let index_of s section pos =
-  match Hashtbl.find_opt s.indexes (section, pos) with
-  | Some idx -> idx
-  | None ->
-    let idx = Vtbl.create 64 in
-    Tuples.iter
-      (fun tup ->
-        match List.nth_opt tup pos with
-        | Some key ->
-          let bucket =
-            Option.value (Vtbl.find_opt idx key) ~default:Tuples.empty
-          in
-          Vtbl.replace idx key (Tuples.add tup bucket)
-        | None -> ())
-      (section_tuples s section);
-    Hashtbl.add s.indexes (section, pos) idx;
-    idx
+module Tuples = Edb.Tuples
 
 type state = {
   program : Program.t;
   fuel : Limits.fuel;
   atoms : Propgm.fact Interner.t;
-  stores : (string, store) Hashtbl.t;
+  store : Relstore.t;
   seen_rules : (int * int list * int list, unit) Hashtbl.t;
   mutable ground_rules : Propgm.rule list;
   (* Probe accounting, only bumped while a sink is installed; emitted as
      counters when grounding completes. *)
-  mutable idx_hits : int;
-  mutable idx_misses : int;
-  mutable scans : int;
+  mutable probes : Relstore.probes;
 }
-
-let store_of st pred =
-  match Hashtbl.find_opt st.stores pred with
-  | Some s -> s
-  | None ->
-    let s = fresh_store () in
-    Hashtbl.add st.stores pred s;
-    s
 
 let intern_fact st fact =
   match Interner.find_opt st.atoms fact with
@@ -89,13 +21,11 @@ let intern_fact st fact =
     Limits.spend st.fuel ~what:"grounder: atom";
     Interner.intern st.atoms fact
 
-let discover st pred tup =
-  let s = store_of st pred in
-  if not (Tuples.mem tup s.full || Tuples.mem tup s.delta || Tuples.mem tup s.next)
-  then s.next <- Tuples.add tup s.next
+let rule_key ~head ~pos ~neg =
+  (head, List.sort Int.compare pos, List.sort Int.compare neg)
 
 let emit_rule st ~head ~pos ~neg =
-  let key = (head, List.sort Int.compare pos, List.sort Int.compare neg) in
+  let key = rule_key ~head ~pos ~neg in
   if not (Hashtbl.mem st.seen_rules key) then begin
     Hashtbl.add st.seen_rules key ();
     Limits.spend st.fuel ~what:"grounder: rule instance";
@@ -103,92 +33,18 @@ let emit_rule st ~head ~pos ~neg =
       { Propgm.head; pos = Array.of_list pos; neg = Array.of_list neg }
       :: st.ground_rules;
     let pred, tup = Interner.get st.atoms head in
-    discover st pred tup
+    Relstore.discover st.store pred tup
   end
 
-(* Enumerate all substitutions satisfying the ordered body within the
-   current envelope, calling [k] on each complete one. [idx] counts body
-   positions; when [delta_pos = Some d], the positive literal at position
-   [d] scans only the delta, positions before [d] scan only older facts,
-   and positions after scan everything — the semi-naive split. *)
-let rec solve st body idx delta_pos subst k =
+(* Emit every instance of the rule whose positive atoms lie in the
+   current envelope, under the semi-naive split [delta] (see
+   {!Relstore.solve}). [body] is the [ordered] body minus its negative
+   literals — grounding ranges over the positive envelope, so negation
+   never filters; the negative atoms are recorded from [ordered] in
+   evaluation order, not decided. *)
+let instantiate_rule st ((r : Rule.t), ordered) body ~delta =
   let builtins = st.program.Program.builtins in
-  match body with
-  | [] -> k subst
-  | Literal.Pos a :: rest ->
-    let s = store_of st a.Literal.pred in
-    let sections =
-      match delta_pos with
-      | Some d when d = idx -> [ section_delta ]
-      | Some d when d > idx -> [ section_full ]
-      | Some _ | None -> [ section_full; section_delta ]
-    in
-    (* The first argument position fully evaluable under the current
-       substitution keys an index probe; a literal with no bound argument
-       falls back to scanning the section. *)
-    let key =
-      let rec find i args =
-        match args with
-        | [] -> None
-        | t :: args' -> (
-          match Dterm.eval builtins subst t with
-          | Some v -> Some (i, v)
-          | None -> find (i + 1) args')
-      in
-      find 0 a.Literal.args
-    in
-    let try_tuple tup =
-      let rec match_args subst args vals =
-        match args, vals with
-        | [], [] -> Some subst
-        | t :: args', v :: vals' -> (
-          match Dterm.match_value builtins t v subst with
-          | Some subst' -> match_args subst' args' vals'
-          | None -> None)
-        | _, _ -> None
-      in
-      match match_args subst a.Literal.args tup with
-      | Some subst' -> solve st rest (idx + 1) delta_pos subst' k
-      | None -> ()
-    in
-    List.iter
-      (fun section ->
-        match key with
-        | Some (pos, v) -> (
-          match Vtbl.find_opt (index_of s section pos) v with
-          | Some bucket ->
-            if Obs.enabled () then st.idx_hits <- st.idx_hits + 1;
-            Tuples.iter try_tuple bucket
-          | None -> if Obs.enabled () then st.idx_misses <- st.idx_misses + 1)
-        | None ->
-          if Obs.enabled () then st.scans <- st.scans + 1;
-          Tuples.iter try_tuple (section_tuples s section))
-      sections
-  | Literal.Neg _ :: rest ->
-    (* Recorded later from the complete substitution; never filters. *)
-    solve st rest (idx + 1) delta_pos subst k
-  | Literal.Eq (t1, t2) :: rest -> (
-    match Dterm.eval builtins subst t1, Dterm.eval builtins subst t2 with
-    | Some v1, Some v2 ->
-      if Value.equal v1 v2 then solve st rest (idx + 1) delta_pos subst k
-    | Some v, None -> (
-      match Dterm.match_value builtins t2 v subst with
-      | Some subst' -> solve st rest (idx + 1) delta_pos subst' k
-      | None -> ())
-    | None, Some v -> (
-      match Dterm.match_value builtins t1 v subst with
-      | Some subst' -> solve st rest (idx + 1) delta_pos subst' k
-      | None -> ())
-    | None, None -> ())
-  | Literal.Neq (t1, t2) :: rest -> (
-    match Dterm.eval builtins subst t1, Dterm.eval builtins subst t2 with
-    | Some v1, Some v2 ->
-      if not (Value.equal v1 v2) then solve st rest (idx + 1) delta_pos subst k
-    | _, _ -> ())
-
-let instantiate_rule st (r : Rule.t) ordered_body ~delta_pos =
-  let builtins = st.program.Program.builtins in
-  solve st ordered_body 0 delta_pos Subst.empty (fun subst ->
+  Relstore.solve st.store st.probes body ~delta (fun subst ->
       match Literal.ground_atom builtins subst r.Rule.head with
       | Some head_fact ->
         let head = intern_fact st head_fact in
@@ -205,82 +61,52 @@ let instantiate_rule st (r : Rule.t) ordered_body ~delta_pos =
                 | Some f -> (ps, intern_fact st f :: ns)
                 | None -> (ps, ns))
               | Literal.Eq _ | Literal.Neq _ -> (ps, ns))
-            ([], []) ordered_body
+            ([], []) ordered
         in
         emit_rule st ~head ~pos:(List.rev pos_ids) ~neg:(List.rev neg_ids)
       | None -> ())
 
-(* [`Stats] scans the smallest estimated relation first (see {!Cardest});
-   any evaluable ordering instantiates the same ground rules on the same
-   rounds, so the propositional program is identical either way. *)
-let ordered_bodies ?(order = `Syntactic) program edb =
-  let prefer =
-    match order with
-    | `Syntactic -> fun _ -> 0
-    | `Stats -> Cardest.prefer program edb
-  in
+let plans ?order program edb =
   List.map
-    (fun (r : Rule.t) ->
-      match
-        Safety.evaluation_order_with program.Program.builtins ~prefer
-          r.Rule.body
-      with
-      | Ok body -> (r, body)
-      | Error msg -> raise (Unsafe msg))
-    program.Program.rules
+    (fun ((_, ordered) as plan) ->
+      ( plan,
+        Relstore.compile program.Program.builtins
+          (List.filter
+             (fun lit ->
+               match lit with
+               | Literal.Neg _ -> false
+               | Literal.Pos _ | Literal.Eq _ | Literal.Neq _ -> true)
+             ordered) ))
+    (Relstore.order_rules ?order program ~base:edb program.Program.rules)
 
 let promote st =
-  Hashtbl.iter
-    (fun _ s ->
-      s.full <- Tuples.union s.full s.delta;
-      s.delta <- s.next;
-      s.next <- Tuples.empty;
-      Hashtbl.reset s.indexes)
-    st.stores;
+  Relstore.promote st.store;
   if Obs.enabled () then begin
     let envelope, delta =
-      Hashtbl.fold
-        (fun _ s (e, d) ->
-          let dn = Tuples.cardinal s.delta in
-          (e + Tuples.cardinal s.full + dn, d + dn))
-        st.stores (0, 0)
+      Relstore.fold
+        (fun pred ~full:_ ~delta ~next:_ (e, d) ->
+          (e + Relstore.size st.store pred, d + Tuples.cardinal delta))
+        st.store (0, 0)
     in
     Obs.count "ground/envelope" envelope;
     Obs.count "ground/delta" delta
   end
 
-let delta_nonempty st =
-  Hashtbl.fold (fun _ s acc -> acc || not (Tuples.is_empty s.delta)) st.stores false
+(* One unrestricted pass over every rule, then a round boundary. *)
+let instantiate_all st plans =
+  List.iter (fun (plan, body) -> instantiate_rule st plan body ~delta:None) plans;
+  promote st
 
-let close_seminaive st ordered =
-  while delta_nonempty st do
+let close_seminaive st plans =
+  while Relstore.delta_nonempty st.store do
     Limits.check st.fuel ~what:"grounder: round";
     Faultinj.hit "ground/round";
     Obs.count "ground/round" 1;
     List.iter
-      (fun (r, body) ->
-        List.iteri
-          (fun i lit ->
-            match lit with
-            | Literal.Pos _ -> instantiate_rule st r body ~delta_pos:(Some i)
-            | Literal.Neg _ | Literal.Eq _ | Literal.Neq _ -> ())
-          body)
-      ordered;
+      (fun (plan, body, delta) -> instantiate_rule st plan body ~delta)
+      (Relstore.delta_tasks st.store plans);
     promote st
   done
-
-let fresh_state ~fuel program =
-  {
-    program;
-    fuel;
-    atoms = Interner.create ~hash:Propgm.fact_hash ~equal:Propgm.fact_equal ();
-    stores = Hashtbl.create 16;
-    seen_rules = Hashtbl.create 256;
-    ground_rules = [];
-    idx_hits = 0;
-    idx_misses = 0;
-    scans = 0;
-  }
 
 (* Seed the envelope with the extensional database; EDB facts become
    body-less ground rules so every semantics sees them as axioms. *)
@@ -296,40 +122,39 @@ let propgm_of st =
 
 let flush_probe_counters st =
   if Obs.enabled () then begin
-    Obs.count "ground/index_hit" st.idx_hits;
-    Obs.count "ground/index_miss" st.idx_misses;
-    Obs.count "ground/scan" st.scans;
-    st.idx_hits <- 0;
-    st.idx_misses <- 0;
-    st.scans <- 0;
+    let p = st.probes in
+    Obs.count "ground/index_hit" p.Relstore.hits;
+    Obs.count "ground/index_miss" p.Relstore.misses;
+    Obs.count "ground/scan" p.Relstore.scans;
+    st.probes <- Relstore.probes ();
     Obs.count "ground/atoms" (Interner.size st.atoms);
     Obs.count "ground/rules" (List.length st.ground_rules)
   end
 
-let ground ?(fuel = Limits.default ()) ?(strategy = `Seminaive) ?order program
-    edb =
-  Obs.span "ground" @@ fun () ->
-  let st = fresh_state ~fuel program in
+(* Ground [program] over [edb]: the EDB becomes the first delta; a first
+   pass without a delta restriction covers rules whose bodies have no
+   positive literal and seeds everything else; semi-naive rounds close
+   up. *)
+let start ~fuel ?order program edb =
+  let st =
+    { program;
+      fuel;
+      atoms = Interner.create ~hash:Propgm.fact_hash ~equal:Propgm.fact_equal ();
+      store = Relstore.create ();
+      seen_rules = Hashtbl.create 256;
+      ground_rules = [];
+      probes = Relstore.probes () }
+  in
+  let plans = plans ?order program edb in
   seed_axioms st edb;
-  let ordered = ordered_bodies ?order program edb in
   promote st;
-  (* First pass without a delta restriction covers rules whose bodies have
-     no positive literal and seeds everything else. *)
-  List.iter (fun (r, body) -> instantiate_rule st r body ~delta_pos:None) ordered;
-  promote st;
-  (match strategy with
-  | `Seminaive -> close_seminaive st ordered
-  | `Naive ->
-    let changed = ref true in
-    while !changed do
-      Obs.count "ground/round" 1;
-      let before = Hashtbl.length st.seen_rules in
-      List.iter (fun (r, body) -> instantiate_rule st r body ~delta_pos:None) ordered;
-      promote st;
-      changed := Hashtbl.length st.seen_rules > before || delta_nonempty st
-    done);
+  instantiate_all st plans;
+  close_seminaive st plans;
   flush_probe_counters st;
-  propgm_of st
+  (st, plans)
+
+let ground ?(fuel = Limits.default ()) ?order program edb =
+  Obs.span "ground" @@ fun () -> propgm_of (fst (start ~fuel ?order program edb))
 
 (* Resident grounding under update batches.
 
@@ -354,85 +179,66 @@ let ground ?(fuel = Limits.default ()) ?(strategy = `Seminaive) ?order program
 module Live = struct
   type nonrec t = {
     st : state;
-    ordered : (Rule.t * Literal.t list) list;
+    plans : ((Rule.t * Literal.t list) * Relstore.body) list;
     mutable edb : Edb.t;
   }
 
   let start ?(fuel = Limits.default ()) ?order program edb =
     Obs.span "ground.live_start" @@ fun () ->
-    let st = fresh_state ~fuel program in
-    seed_axioms st edb;
-    let ordered = ordered_bodies ?order program edb in
-    promote st;
-    List.iter (fun (r, body) -> instantiate_rule st r body ~delta_pos:None) ordered;
-    promote st;
-    close_seminaive st ordered;
-    flush_probe_counters st;
-    { st; ordered; edb }
+    let st, plans = start ~fuel ?order program edb in
+    { st; plans; edb }
 
   let edb t = t.edb
   let propgm t = propgm_of t.st
 
   (* Checkpoints make update batches all-or-nothing. Everything the
      batch mutates is either an immutable value behind a mutable field
-     ([edb], [ground_rules], the per-store [Tuples.t] sections) or
+     ([edb], [ground_rules], the store's [Tuples.t] sections) or
      rebuildable from one of those ([seen_rules] from the rule list,
-     indexes lazily from the stores) — so a checkpoint is a handful of
+     indexes lazily from the sections) — so a checkpoint is a handful of
      pointer copies, and [restore] only pays the [seen_rules] rebuild on
-     the failure path. Interned atoms are deliberately not rolled back:
-     the interner only grows, and an atom heading no rule is invisible
-     to every semantics (see the module comment). *)
+     the failure path. Checkpoints are taken between batches, when the
+     grounding is closed and every [next] section is empty. Interned
+     atoms are deliberately not rolled back: the interner only grows,
+     and an atom heading no rule is invisible to every semantics (see
+     the module comment). *)
   type checkpoint = {
     cp_edb : Edb.t;
     cp_rules : Propgm.rule list;
-    cp_stores : (string * (Tuples.t * Tuples.t * Tuples.t)) list;
+    cp_sections : (string * (Tuples.t * Tuples.t)) list;
   }
 
   let checkpoint t =
     {
       cp_edb = t.edb;
       cp_rules = t.st.ground_rules;
-      cp_stores =
-        Hashtbl.fold
-          (fun pred s acc -> (pred, (s.full, s.delta, s.next)) :: acc)
-          t.st.stores [];
+      cp_sections =
+        Relstore.fold
+          (fun pred ~full ~delta ~next:_ acc -> (pred, (full, delta)) :: acc)
+          t.st.store [];
     }
+
+  let reset_seen_rules st rules =
+    Hashtbl.reset st.seen_rules;
+    List.iter
+      (fun (r : Propgm.rule) ->
+        Hashtbl.replace st.seen_rules
+          (rule_key ~head:r.Propgm.head ~pos:(Array.to_list r.Propgm.pos)
+             ~neg:(Array.to_list r.Propgm.neg))
+          ())
+      rules
 
   let restore t cp =
     let st = t.st in
     t.edb <- cp.cp_edb;
     st.ground_rules <- cp.cp_rules;
-    Hashtbl.reset st.seen_rules;
+    reset_seen_rules st cp.cp_rules;
+    Relstore.clear st.store;
     List.iter
-      (fun (r : Propgm.rule) ->
-        Hashtbl.replace st.seen_rules
-          ( r.Propgm.head,
-            List.sort Int.compare (Array.to_list r.Propgm.pos),
-            List.sort Int.compare (Array.to_list r.Propgm.neg) )
-          ())
-      cp.cp_rules;
-    Hashtbl.iter
-      (fun pred s ->
-        (match List.assoc_opt pred cp.cp_stores with
-        | Some (full, delta, next) ->
-          s.full <- full;
-          s.delta <- delta;
-          s.next <- next
-        | None ->
-          (* Store created by the aborted batch: empty it; an all-empty
-             store is indistinguishable from an absent one. *)
-          s.full <- Tuples.empty;
-          s.delta <- Tuples.empty;
-          s.next <- Tuples.empty);
-        Hashtbl.reset s.indexes)
-      st.stores
+      (fun (pred, (full, delta)) -> Relstore.load st.store pred ~full ~delta)
+      cp.cp_sections
 
   module Iset = Set.Make (Int)
-
-  let rule_key (r : Propgm.rule) =
-    ( r.Propgm.head,
-      List.sort Int.compare (Array.to_list r.Propgm.pos),
-      List.sort Int.compare (Array.to_list r.Propgm.neg) )
 
   let retract t dels =
     let st = t.st in
@@ -505,24 +311,22 @@ module Live = struct
     Obs.countf "incr/ground_pruned_rules" (fun () ->
         List.length st.ground_rules - List.length kept);
     st.ground_rules <- kept;
-    Hashtbl.reset st.seen_rules;
-    List.iter (fun r -> Hashtbl.replace st.seen_rules (rule_key r) ()) kept;
-    (* Prune dead envelope tuples and invalidate the per-store indexes.
-       Between updates [delta]/[next] are empty, so [full] is the whole
-       envelope. *)
-    Hashtbl.iter
-      (fun pred s ->
-        s.full <-
-          Tuples.filter
-            (fun tup ->
-              match Interner.find_opt st.atoms (pred, tup) with
-              | Some id -> Hashtbl.mem live id
-              | None -> false)
-            s.full;
-        s.delta <- Tuples.empty;
-        s.next <- Tuples.empty;
-        Hashtbl.reset s.indexes)
-      st.stores
+    reset_seen_rules st kept;
+    (* Prune dead envelope tuples; reloading a predicate drops its
+       indexes. Between updates [delta]/[next] are empty, so [full] is
+       the whole envelope. *)
+    List.iter
+      (fun (pred, full) ->
+        let alive tup =
+          match Interner.find_opt st.atoms (pred, tup) with
+          | Some id -> Hashtbl.mem live id
+          | None -> false
+        in
+        Relstore.load st.store pred ~full:(Tuples.filter alive full)
+          ~delta:Tuples.empty)
+      (Relstore.fold
+         (fun pred ~full ~delta:_ ~next:_ acc -> (pred, full) :: acc)
+         st.store [])
 
   (* All-or-nothing: any exception mid-batch — fuel, a governed
      ceiling, an injected fault — restores the pre-batch checkpoint
@@ -544,16 +348,11 @@ module Live = struct
         if n_dels > 0 then retract t dels;
         seed_axioms t.st adds;
         promote t.st;
-        if n_dels > 0 then begin
-          (* Rederive: one unrestricted pass re-fires every rule against
-             the pruned envelope, resurrecting the conservatively
-             overdeleted instances noted above, before closing up. *)
-          List.iter
-            (fun (r, body) -> instantiate_rule t.st r body ~delta_pos:None)
-            t.ordered;
-          promote t.st
-        end;
-        close_seminaive t.st t.ordered;
+        (* Rederive: one unrestricted pass re-fires every rule against
+           the pruned envelope, resurrecting the conservatively
+           overdeleted instances noted above, before closing up. *)
+        if n_dels > 0 then instantiate_all t.st t.plans;
+        close_seminaive t.st t.plans;
         flush_probe_counters t.st
       end;
       propgm_of t.st

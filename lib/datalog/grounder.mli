@@ -10,26 +10,20 @@
     Every rule instance whose positive atoms lie in the envelope and whose
     (in)equality literals hold is emitted; negative literals are
     {e recorded}, not decided — deciding them is the job of the semantics
-    (inflationary, well-founded, valid, stable) applied afterwards. *)
+    (inflationary, well-founded, valid, stable) applied afterwards.
 
-exception Unsafe of string
-(** Raised when a rule body admits no evaluable literal ordering. *)
+    Instantiation runs the shared {!Relstore} matcher over the bodies
+    with their negative literals removed, semi-naive round by round. *)
 
 val ground :
-  ?fuel:Recalg_kernel.Limits.fuel ->
-  ?strategy:[ `Seminaive | `Naive ] ->
-  ?order:[ `Syntactic | `Stats ] ->
+  ?fuel:Recalg_kernel.Limits.fuel -> ?order:Relstore.order ->
   Program.t -> Edb.t -> Propgm.t
-(** [strategy] (default [`Seminaive]) selects delta-restricted
-    instantiation or full re-instantiation every round — the two produce
-    identical propositional programs; the naive mode exists for the
-    engine-ablation benchmark.
-
-    [order] (default [`Syntactic]) selects the body-literal ordering:
+(** [order] (default [`Syntactic]) selects the body-literal ordering:
     [`Stats] ranks evaluable literals by {!Cardest} envelope estimates,
     scanning the smallest relation first. Every evaluable ordering emits
     the same rule instances, so the propositional program is identical —
-    only enumeration cost changes. *)
+    only enumeration cost changes. Raises {!Relstore.Unsafe} when a rule
+    body admits no evaluable ordering. *)
 
 (** Resident grounding maintained under {!Edb.Update} batches.
 
@@ -50,7 +44,7 @@ module Live : sig
   type t
 
   val start :
-    ?fuel:Recalg_kernel.Limits.fuel -> ?order:[ `Syntactic | `Stats ] ->
+    ?fuel:Recalg_kernel.Limits.fuel -> ?order:Relstore.order ->
     Program.t -> Edb.t -> t
   (** Ground [program] over [edb] and keep the instantiation state
       resident. [order] as in {!ground}, applied to the initial

@@ -10,15 +10,7 @@ type t = {
 }
 
 let negation_free program =
-  List.for_all
-    (fun (r : Rule.t) ->
-      List.for_all
-        (fun lit ->
-          match lit with
-          | Literal.Neg _ -> false
-          | Literal.Pos _ | Literal.Eq _ | Literal.Neq _ -> true)
-        r.Rule.body)
-    program.Program.rules
+  List.for_all (fun (_, _, pol) -> pol = `Pos) (Program.dependencies program)
 
 let recompute ~fuel program edb = Seminaive.stratified ~fuel program edb
 

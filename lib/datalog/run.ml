@@ -1,6 +1,6 @@
 module Obs = Recalg_obs.Obs
 
-type order = [ `Syntactic | `Stats ]
+type order = Relstore.order
 
 let valid ?fuel ?order program edb =
   Obs.span "run.valid" @@ fun () ->

@@ -3,11 +3,9 @@
 
 open Recalg_kernel
 
-type order = [ `Syntactic | `Stats ]
-(** Body-literal ordering for the underlying grounder or relational
-    evaluator ([`Stats] = smallest estimated relation first, see
-    {!Cardest}); results, rounds, and fuel are identical under every
-    ordering — only enumeration cost changes. *)
+type order = Relstore.order
+(** Body-literal ordering for the grounder or the relational evaluator;
+    results, rounds and fuel are identical under every ordering. *)
 
 val valid : ?fuel:Limits.fuel -> ?order:order -> Program.t -> Edb.t -> Interp.t
 (** The paper's semantics of choice (Section 2.2). *)

@@ -1,238 +1,122 @@
 open Recalg_kernel
 module Obs = Recalg_obs.Obs
+module Tuples = Edb.Tuples
 
-exception Unsafe of string
+type order = Relstore.order
 
-type order = [ `Syntactic | `Stats ]
+(* A store holding every predicate the rules read or derive, by pointer:
+   the facts of [fresh] as its delta, the rest of [base] as its full
+   section. *)
+let store_of program rules ~base ~fresh =
+  let store = Relstore.create () in
+  List.iter
+    (fun pred ->
+      let delta = Edb.relation fresh pred in
+      Relstore.load store pred
+        ~full:(Tuples.diff (Edb.relation base pred) delta)
+        ~delta)
+    (Program.all_preds { program with Program.rules });
+  store
 
-(* Enumerate substitutions for an ordered body against [lookup], which maps
-   a predicate and a source selector to its tuples. *)
-type source = All | Old | Delta
-
-let rec solve builtins lookup body idx delta_pos subst k =
-  match body with
-  | [] -> k subst
-  | Literal.Pos a :: rest ->
-    let src =
-      match delta_pos with
-      | Some d when d = idx -> Delta
-      | Some d when d > idx -> Old
-      | Some _ | None -> All
-    in
-    List.iter
-      (fun tup ->
-        let rec match_args subst args vals =
-          match args, vals with
-          | [], [] -> Some subst
-          | t :: args', v :: vals' -> (
-            match Dterm.match_value builtins t v subst with
-            | Some subst' -> match_args subst' args' vals'
-            | None -> None)
-          | _, _ -> None
-        in
-        match match_args subst a.Literal.args tup with
-        | Some subst' -> solve builtins lookup rest (idx + 1) delta_pos subst' k
-        | None -> ())
-      (lookup a.Literal.pred src)
-  | Literal.Neg a :: rest -> (
-    (* Negation tests the fully materialised relation. *)
-    match Literal.ground_atom builtins subst a with
-    | Some (pred, args) ->
-      let holds = List.exists (List.equal Value.equal args) (lookup pred All) in
-      if not holds then solve builtins lookup rest (idx + 1) delta_pos subst k
-    | None -> ())
-  | Literal.Eq (t1, t2) :: rest -> (
-    match Dterm.eval builtins subst t1, Dterm.eval builtins subst t2 with
-    | Some v1, Some v2 ->
-      if Value.equal v1 v2 then solve builtins lookup rest (idx + 1) delta_pos subst k
-    | Some v, None -> (
-      match Dterm.match_value builtins t2 v subst with
-      | Some subst' -> solve builtins lookup rest (idx + 1) delta_pos subst' k
-      | None -> ())
-    | None, Some v -> (
-      match Dterm.match_value builtins t1 v subst with
-      | Some subst' -> solve builtins lookup rest (idx + 1) delta_pos subst' k
-      | None -> ())
-    | None, None -> ())
-  | Literal.Neq (t1, t2) :: rest -> (
-    match Dterm.eval builtins subst t1, Dterm.eval builtins subst t2 with
-    | Some v1, Some v2 ->
-      if not (Value.equal v1 v2) then
-        solve builtins lookup rest (idx + 1) delta_pos subst k
-    | _, _ -> ())
-
-module Tuples = Set.Make (struct
-  type t = Value.t list
-
-  let compare = List.compare Value.compare
-end)
-
-type store = { mutable full : Tuples.t; mutable delta : Tuples.t; mutable next : Tuples.t }
-
-(* [`Stats] ranks the ready literals at each ordering step by their
-   envelope cardinality estimate (see {!Cardest}) — smallest relation
-   first. Any valid ordering derives the same facts on the same rounds,
-   so the choice affects enumeration cost only, never results or fuel. *)
-let ordered_rules ?(order = `Syntactic) ?live program ~base rules =
-  let prefer =
-    match order with
-    | `Syntactic -> fun _ -> 0
-    | `Stats -> (
-      match live with
-      | None -> Cardest.prefer program base
-      | Some live -> Cardest.prefer_with ~live program base)
-  in
+(* Each rule with its ordered body (kept to tell whether a re-rank
+   changed it) and the compiled form the matcher runs. *)
+let plans ?order ?live program ~base rules =
   List.map
-    (fun (r : Rule.t) ->
-      match
-        Safety.evaluation_order_with program.Program.builtins ~prefer
-          r.Rule.body
-      with
-      | Ok body -> (r, body)
-      | Error msg -> raise (Unsafe msg))
-    rules
+    (fun (r, lits) -> ((r, lits), Relstore.compile program.Program.builtins lits))
+    (Relstore.order_rules ?order ?live program ~base rules)
 
-(* The shared fixpoint loop: [stores] arrive pre-seeded (that is the only
-   difference between a from-scratch run and a resumed one). The first
-   round is governed by [first]: [`Full] runs it unrestricted (the
-   from-scratch seeding, and DRed's rederivation pass), while
-   [`Adds adds] fires only delta-restricted instantiations whose frontier
-   is the newly inserted extensional facts (plus any new derived-pred
-   axioms already sitting in the store deltas) — the semi-naive
-   continuation, which never rescans the materialized bulk. Afterwards,
-   delta-restricted rounds close up either way. *)
-let eval_loop ~variant ~first ~fuel ~order program ~base ~stores ~derived rules =
+(* The shared fixpoint loop: [store] arrives loaded with every predicate
+   the rules read or derive (that is the only difference between a
+   from-scratch run and a resumed one). The first round is governed by
+   [first]: [`Full] runs it unrestricted (the from-scratch seeding, and
+   DRed's rederivation pass), while [`Delta] fires only the
+   delta-restricted instantiations of the predicates whose delta is
+   loaded non-empty — the newly inserted extensional facts and any new
+   derived-pred axioms — the semi-naive continuation, which never
+   rescans the materialized bulk. Afterwards, delta-restricted rounds
+   close up either way. *)
+let eval_loop ~variant ~first ~fuel ~order program ~base ~store ~derived rules =
   let builtins = program.Program.builtins in
-  let store_of pred =
-    match Hashtbl.find_opt stores pred with
-    | Some s -> s
-    | None ->
-      let s = { full = Tuples.empty; delta = Tuples.empty; next = Tuples.empty } in
-      Hashtbl.add stores pred s;
-      s
-  in
-  let lookup pred src =
-    if List.mem pred derived then begin
-      let s = store_of pred in
-      let set =
-        match src with
-        | All -> Tuples.union s.full s.delta
-        | Old -> s.full
-        | Delta -> s.delta
-      in
-      Tuples.elements set
-    end
-    else Edb.tuples base pred
-  in
-  let ordered = ordered_rules ~order program ~base rules in
   (* Under [`Stats], re-rank the body literals each round against the
      live store cardinalities: as derived relations grow past their
      static envelopes, the cheapest enumeration order changes. Every
      valid ordering derives the same facts on the same rounds, so the
      re-rank moves enumeration cost only — results and fuel are
-     untouched — and it reads the stores, not the metrics registry, so
+     untouched — and it reads the store, not the metrics registry, so
      runs are identical with metrics on or off. *)
-  let live_ordered prev =
+  let live_plans prev =
     match order with
     | `Syntactic -> prev
     | `Stats ->
       let live pred =
-        match Hashtbl.find_opt stores pred with
-        | Some s -> Some (Tuples.cardinal s.full + Tuples.cardinal s.delta)
-        | None -> None
+        if List.mem pred derived then Some (Relstore.size store pred) else None
       in
-      let next = ordered_rules ~order ~live program ~base rules in
+      let next = plans ~order ~live program ~base rules in
       let same =
         List.for_all2
-          (fun (_, b1) (_, b2) -> List.for_all2 ( == ) b1 b2)
+          (fun ((_, l1), _) ((_, l2), _) -> List.for_all2 ( == ) l1 l2)
           prev next
       in
-      if not same then Obs.count "seminaive/reorder" 1;
-      next
+      if same then prev
+      else begin
+        Obs.count "seminaive/reorder" 1;
+        next
+      end
   in
-  let cur_ordered = ref ordered in
+  let cur_plans = ref (plans ~order program ~base rules) in
   let commit pred args =
-    let s = store_of pred in
-    if
-      not
-        (Tuples.mem args s.full || Tuples.mem args s.delta
-       || Tuples.mem args s.next)
-    then begin
+    if not (Relstore.mem store pred args) then begin
       Limits.spend fuel ~what:"seminaive: fact";
-      s.next <- Tuples.add args s.next
+      Relstore.discover store pred args
     end
   in
-  let derive lookup (r : Rule.t) body delta_pos =
-    solve builtins lookup body 0 delta_pos Subst.empty (fun subst ->
+  let probes = Relstore.probes () in
+  let derive ((r : Rule.t), _) body delta =
+    Relstore.solve store probes body ~delta (fun subst ->
         match Literal.ground_atom builtins subst r.Rule.head with
         | Some (pred, args) -> commit pred args
         | None -> ())
   in
   (* Parallel round shape: every (rule, delta position) task enumerates
-     its instantiations against the frozen stores — reads only, with a
+     its instantiations against the frozen store — reads only, with a
      task-local dedup — and the candidate streams are then committed
      sequentially in task order. That replays exactly the derivation
      sequence of the sequential loop (same facts, same order, same fuel
-     spends), so stores and fuel stay byte-identical to [domains:1];
-     only the enumeration work fans out (DESIGN.md §9). Stores are
-     pre-seeded for every derived predicate by [run]/[resume], so
-     worker-side lookups never mutate [stores]. *)
-  let collect lookup (r : Rule.t) body delta_pos () =
-    let seen : (string, Tuples.t ref) Hashtbl.t = Hashtbl.create 8 in
+     spends), so the store and fuel stay byte-identical to [domains:1];
+     only the enumeration work fans out (DESIGN.md §9). Every index a
+     task can probe is built before the fan-out, so workers never
+     mutate the store. *)
+  let collect ((r : Rule.t), _) body delta () =
+    let seen = Relstore.create () in
     let acc = ref [] in
-    solve builtins lookup body 0 delta_pos Subst.empty (fun subst ->
+    Relstore.solve store (Relstore.probes ()) body ~delta (fun subst ->
         match Literal.ground_atom builtins subst r.Rule.head with
-        | Some (pred, args) ->
-          let known =
-            match Hashtbl.find_opt stores pred with
-            | Some s -> Tuples.mem args s.full || Tuples.mem args s.delta
-            | None -> false
-          in
-          if not known then begin
-            let local =
-              match Hashtbl.find_opt seen pred with
-              | Some l -> l
-              | None ->
-                let l = ref Tuples.empty in
-                Hashtbl.add seen pred l;
-                l
-            in
-            if not (Tuples.mem args !local) then begin
-              local := Tuples.add args !local;
-              acc := (pred, args) :: !acc
-            end
-          end
-        | None -> ())
-      ;
+        | Some (pred, args)
+          when not (Relstore.mem store pred args || Relstore.mem seen pred args)
+          ->
+          Relstore.discover seen pred args;
+          acc := (pred, args) :: !acc
+        | Some _ | None -> ());
     List.rev !acc
   in
-  let derive_all lookup tasks =
-    match tasks with
-    | [] -> ()
-    | [ (r, body, delta_pos) ] -> derive lookup r body delta_pos
-    | tasks when not (Pool.parallel ()) ->
-      List.iter (fun (r, body, delta_pos) -> derive lookup r body delta_pos) tasks
-    | tasks ->
+  let derive_all tasks =
+    if List.compare_length_with tasks 2 < 0 || not (Pool.parallel ()) then
+      List.iter (fun (plan, body, delta) -> derive plan body delta) tasks
+    else begin
       if Obs.enabled () then Obs.count "pool/rule_tasks" (List.length tasks);
+      List.iter (fun (_, body, delta) -> Relstore.prepare store body ~delta) tasks;
       let candidates =
         Pool.run
-          (List.map (fun (r, body, delta_pos) -> collect lookup r body delta_pos) tasks)
+          (List.map (fun (plan, body, delta) -> collect plan body delta) tasks)
       in
       List.iter (List.iter (fun (pred, args) -> commit pred args)) candidates
+    end
   in
-  let promote () =
-    Hashtbl.iter
-      (fun _ s ->
-        s.full <- Tuples.union s.full s.delta;
-        s.delta <- s.next;
-        s.next <- Tuples.empty)
-      stores
-  in
-  let delta_nonempty () =
-    Hashtbl.fold (fun _ s acc -> acc || not (Tuples.is_empty s.delta)) stores false
-  in
+  let unrestricted plans = List.map (fun (plan, body) -> (plan, body, None)) plans in
   let derived_this_round () =
-    Hashtbl.fold (fun _ s acc -> acc + Tuples.cardinal s.next) stores 0
+    Relstore.fold
+      (fun _ ~full:_ ~delta:_ ~next acc -> acc + Tuples.cardinal next)
+      store 0
   in
   (* Under a [~degrade:true] budget, exhaustion anywhere in the loop is
      caught at this level: the facts derived so far (including the
@@ -242,156 +126,92 @@ let eval_loop ~variant ~first ~fuel ~order program ~base ~stores ~derived rules 
   (try
      Obs.count "seminaive/round" 1;
      Faultinj.hit "seminaive/round";
-     (match first with
-  | `Full ->
-    derive_all lookup (List.map (fun (r, body) -> (r, body, None)) ordered)
-  | `Adds adds ->
-    (* Every genuinely new derivation consumes at least one new fact at
-       some body position (induction over rounds); firing each position
-       whose predicate has new facts, with the standard old/delta/all
-       split, covers exactly those instantiations. *)
-    let old_base = Edb.diff base adds in
-    let seed_lookup pred src =
-      if List.mem pred derived then lookup pred src
-      else
-        match src with
-        | Delta -> Edb.tuples adds pred
-        | Old -> Edb.tuples old_base pred
-        | All -> Edb.tuples base pred
-    in
-    let delta_nonempty_for pred =
-      if List.mem pred derived then
-        not (Tuples.is_empty (store_of pred).delta)
-      else Edb.cardinal adds pred > 0
-    in
-    let tasks =
-      List.concat_map
-        (fun ((r : Rule.t), body) ->
-          List.concat
-            (List.mapi
-               (fun i lit ->
-                 match lit with
-                 | Literal.Pos a when delta_nonempty_for a.Literal.pred ->
-                   [ (r, body, Some i) ]
-                 | Literal.Pos _ | Literal.Neg _ | Literal.Eq _ | Literal.Neq _
-                   -> [])
-               body))
-        ordered
-    in
-    derive_all seed_lookup tasks);
+     derive_all
+       (match first with
+       | `Full -> unrestricted !cur_plans
+       | `Delta ->
+         (* Every genuinely new derivation consumes at least one new
+            fact at some body position (induction over rounds); firing
+            each position whose predicate has new facts, with the
+            standard old/delta/all split, covers exactly those
+            instantiations. *)
+         Relstore.delta_tasks store !cur_plans);
      Obs.countf "seminaive/derived" derived_this_round;
-     promote ();
-     while delta_nonempty () do
+     Relstore.promote store;
+     while Relstore.delta_nonempty store do
        Limits.check fuel ~what:"seminaive: round";
        Faultinj.hit "seminaive/round";
        Obs.count "seminaive/round" 1;
-       cur_ordered := live_ordered !cur_ordered;
-       let ordered = !cur_ordered in
-       (match variant with
-    | `Naive ->
-      (* Full re-evaluation: recompute everything from the whole store. *)
-      derive_all lookup (List.map (fun (r, body) -> (r, body, None)) ordered)
-    | `Seminaive ->
-      let tasks =
-        List.concat_map
-          (fun ((r : Rule.t), body) ->
-            List.concat
-              (List.mapi
-                 (fun i lit ->
-                   match lit with
-                   | Literal.Pos a when List.mem a.Literal.pred derived ->
-                     [ (r, body, Some i) ]
-                   | Literal.Pos _ | Literal.Neg _ | Literal.Eq _
-                   | Literal.Neq _ ->
-                     [])
-                 body))
-          ordered
-      in
-      derive_all lookup tasks);
+       cur_plans := live_plans !cur_plans;
+       derive_all
+         (match variant with
+         | `Naive -> unrestricted !cur_plans
+         | `Seminaive -> Relstore.delta_tasks store !cur_plans);
        Obs.countf "seminaive/derived" derived_this_round;
-       promote ()
+       Relstore.promote store
      done
    with e when Limits.degradable fuel e -> Limits.latch fuel e);
   (* Normally [delta]/[next] are empty here; after a degraded cut they
      hold the in-flight facts, all of which are genuinely derived. *)
-  Hashtbl.fold
-    (fun pred s acc ->
-      let all = Tuples.union s.full (Tuples.union s.delta s.next) in
-      Edb.add_all pred (Tuples.elements all) acc)
-    stores Edb.empty
+  Relstore.fold
+    (fun pred ~full ~delta ~next acc ->
+      if List.mem pred derived then
+        Edb.with_relation pred (Tuples.union full (Tuples.union delta next)) acc
+      else acc)
+    store Edb.empty
 
 let run ~variant ?(fuel = Limits.default ()) ?(order = `Syntactic) program
     ~base rules =
   Obs.span "seminaive" @@ fun () ->
-  let stores : (string, store) Hashtbl.t = Hashtbl.create 16 in
   let derived = List.map Rule.head_pred rules in
-  (* A derived predicate may also have extensional facts (ground facts of
-     the same name in the database); they behave as axioms, i.e. as part
-     of the initial "old" facts. *)
-  List.iter
-    (fun pred ->
-      if not (Hashtbl.mem stores pred) then begin
-        let s =
-          { full = Tuples.of_list (Edb.tuples base pred);
-            delta = Tuples.empty;
-            next = Tuples.empty }
-        in
-        Hashtbl.add stores pred s
-      end)
-    derived;
-  eval_loop ~variant ~first:`Full ~fuel ~order program ~base ~stores ~derived
+  (* A derived predicate may also have extensional facts (ground facts
+     of the same name in the database); they behave as axioms, i.e. as
+     part of the initial "old" facts. *)
+  let store = store_of program rules ~base ~fresh:Edb.empty in
+  eval_loop ~variant ~first:`Full ~fuel ~order program ~base ~store ~derived
     rules
 
 let resume ?(fuel = Limits.default ()) ?(order = `Syntactic) ?adds program
     ~base ~init rules =
   Obs.span "seminaive.resume" @@ fun () ->
-  let stores : (string, store) Hashtbl.t = Hashtbl.create 16 in
   let derived = List.map Rule.head_pred rules in
   (* Seed full from the materialized previous state; extensional facts of
      derived predicates that are new in [base] enter as the initial delta
-     — they are new axioms. With [adds] the first round fires only the
-     delta-restricted instantiations drawn from the new facts (pure
-     semi-naive continuation, for the insert-only path); without it the
-     first round wakes every rule against the resumed state (the
-     rederivation pass DRed needs). Starting below the fixpoint of the
-     rules over [base] is the caller's obligation; from there the loop
-     converges to exactly the from-scratch result. *)
+     — they are new axioms. With [adds], the base relations split into
+     old facts ([full]) and the new ones ([delta]), and the first round
+     fires only the delta-restricted instantiations drawn from the new
+     facts (pure semi-naive continuation, for the insert-only path);
+     without it the first round wakes every rule against the resumed
+     state (the rederivation pass DRed needs). Starting below the
+     fixpoint of the rules over [base] is the caller's obligation; from
+     there the loop converges to exactly the from-scratch result. *)
+  let fresh = Option.value adds ~default:Edb.empty in
+  let store = store_of program rules ~base ~fresh in
   List.iter
     (fun pred ->
-      if not (Hashtbl.mem stores pred) then begin
-        let full = Tuples.of_list (Edb.tuples init pred) in
-        let axioms = Tuples.of_list (Edb.tuples base pred) in
-        let s =
-          { full; delta = Tuples.diff axioms full; next = Tuples.empty }
-        in
-        Hashtbl.add stores pred s
-      end)
+      let full = Edb.relation init pred in
+      Relstore.load store pred ~full
+        ~delta:(Tuples.diff (Edb.relation base pred) full))
     derived;
-  let first = match adds with None -> `Full | Some a -> `Adds a in
-  eval_loop ~variant:`Seminaive ~first ~fuel ~order program ~base ~stores
+  let first = match adds with None -> `Full | Some _ -> `Delta in
+  eval_loop ~variant:`Seminaive ~first ~fuel ~order program ~base ~store
     ~derived rules
 
+(* The frontier is the delta, the rest of [base] the full section: the
+   semi-naive split then enumerates exactly the instantiations over
+   [base] that use at least one frontier fact. *)
 let delta_heads ?order program ~base ~frontier rules =
   let builtins = program.Program.builtins in
-  let lookup pred src =
-    match src with
-    | Delta -> Edb.tuples frontier pred
-    | Old | All -> Edb.tuples base pred
-  in
+  let store = store_of program rules ~base ~fresh:frontier in
+  let probes = Relstore.probes () in
   let out = ref Edb.empty in
   List.iter
-    (fun ((r : Rule.t), body) ->
-      List.iteri
-        (fun i lit ->
-          match lit with
-          | Literal.Pos a when Edb.cardinal frontier a.Literal.pred > 0 ->
-            solve builtins lookup body 0 (Some i) Subst.empty (fun subst ->
-                match Literal.ground_atom builtins subst r.Rule.head with
-                | Some (pred, args) -> out := Edb.add pred args !out
-                | None -> ())
-          | Literal.Pos _ | Literal.Neg _ | Literal.Eq _ | Literal.Neq _ -> ())
-        body)
-    (ordered_rules ?order program ~base rules);
+    (fun (((r : Rule.t), _), body, delta) ->
+      Relstore.solve store probes body ~delta (fun subst ->
+          match Literal.ground_atom builtins subst r.Rule.head with
+          | Some (pred, args) -> out := Edb.add pred args !out
+          | None -> ()))
+    (Relstore.delta_tasks store (plans ?order program ~base rules));
   !out
 
 let naive ?fuel ?order program ~base rules =

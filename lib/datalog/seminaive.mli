@@ -9,15 +9,10 @@
 
 open Recalg_kernel
 
-exception Unsafe of string
-
-type order = [ `Syntactic | `Stats ]
-(** Body-literal ordering policy. [`Syntactic] (the default everywhere)
-    takes the first evaluable literal at each step; [`Stats] ranks the
-    evaluable literals by {!Cardest} envelope estimates, scanning the
-    smallest relation first. Ordering changes enumeration cost only:
-    every valid ordering derives identical facts on identical rounds, so
-    results {e and fuel} are the same under both policies. *)
+type order = Relstore.order
+(** Body-literal ordering policy (default [`Syntactic]); results {e and
+    fuel} are the same under both policies. A body with no evaluable
+    ordering raises {!Relstore.Unsafe}. *)
 
 val naive :
   ?fuel:Limits.fuel -> ?order:order -> Program.t -> base:Edb.t ->
@@ -49,15 +44,16 @@ val resume :
 (** Continue semi-naive evaluation from the materialized state [init]
     (the derived relations of a previous run, possibly shrunk by an
     overdeletion pass). With [adds] — the newly inserted extensional
-    facts — the first round fires only the delta-restricted
-    instantiations drawn from them: the pure semi-naive continuation,
-    whose cost scales with the change, not the materialization. Without
-    [adds], one unrestricted round wakes every rule against [init] and
-    the current [base] — catching rederivations, as the DRed remainder
-    requires — before delta-restricted rounds close up. When [init] is
-    below the least fixpoint of [rules] over [base] (true for
-    insert-only continuation and for DRed remainders of negation-free
-    programs), the result equals {!seminaive} from scratch. *)
+    facts, a subset of [base] — the first round fires only the
+    delta-restricted instantiations drawn from them: the pure semi-naive
+    continuation, whose cost scales with the change, not the
+    materialization. Without [adds], one unrestricted round wakes every
+    rule against [init] and the current [base] — catching rederivations,
+    as the DRed remainder requires — before delta-restricted rounds
+    close up. When [init] is below the least fixpoint of [rules] over
+    [base] (true for insert-only continuation and for DRed remainders of
+    negation-free programs), the result equals {!seminaive} from
+    scratch. *)
 
 val delta_heads :
   ?order:order -> Program.t -> base:Edb.t -> frontier:Edb.t -> Rule.t list ->
@@ -65,4 +61,4 @@ val delta_heads :
 (** One delta-restricted firing: all rule-head facts derivable with some
     positive body literal drawn from [frontier] and the rest of the body
     from [base] — the single-step dependents of the frontier facts, used
-    to propagate overdeletion. *)
+    to propagate overdeletion. [frontier] must be a subset of [base]. *)

@@ -78,7 +78,27 @@ let test_exit_codes () =
           (run "--fuel 1000000000 --timeout 100");
         Alcotest.(check int) "fuel exits 3" 3 (run "--fuel 1000");
         Alcotest.(check int) "degraded run reports the exhausted resource" 3
-          (run "--fuel 1000 --degrade"))
+          (run "--fuel 1000 --degrade");
+        (* An unsafe program is a structured error on every verb that
+           evaluates or translates it, not an uncaught exception. *)
+        let oc = open_out dl in
+        output_string oc "q(1). p(X) :- not q(X).\n";
+        close_out oc;
+        let verb args =
+          Sys.command
+            (Printf.sprintf "%s %s %s >/dev/null 2>&1" (Filename.quote exe)
+               args (Filename.quote dl))
+        in
+        List.iter
+          (fun args ->
+            Alcotest.(check int) ("unsafe program exits 1: " ^ args) 1
+              (verb args))
+          [ "run -s valid"; "run -s wellfounded"; "run -s inflationary";
+            "run -s stable"; "run -s stratified"; "translate"; "report" ];
+        Alcotest.(check int) "unsafe program exits 1: query" 1
+          (Sys.command
+             (Printf.sprintf "%s query %s 'p(X)' >/dev/null 2>&1"
+                (Filename.quote exe) (Filename.quote dl))))
 
 let read_file path =
   let ic = open_in_bin path in

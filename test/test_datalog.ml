@@ -226,7 +226,7 @@ let test_grounding_unsafe_rejected () =
     (try
        ignore (Grounder.ground program edb);
        false
-     with Grounder.Unsafe _ -> true)
+     with Relstore.Unsafe _ -> true)
 
 (* --- Semantics --- *)
 
@@ -483,3 +483,4 @@ let test_set_valued_attributes () =
 
 let suite =
   suite @ [ Alcotest.test_case "set-valued attributes" `Quick test_set_valued_attributes ]
+

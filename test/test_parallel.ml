@@ -218,7 +218,7 @@ let prop_seminaive_domains =
           Ok (direct, strat, Limits.remaining fuel)
         with
         | Limits.Diverged _ -> Error `Diverged
-        | Seminaive.Unsafe m -> Error (`Unsafe m)
+        | Datalog.Relstore.Unsafe m -> Error (`Unsafe m)
       in
       match (run 1, run 4) with
       | Ok (d1, s1, f1), Ok (d2, s2, f2) ->

@@ -1,4 +1,4 @@
-(* Program/Edb/Interp/Grounder utility tests. *)
+(* Program/Edb/Interp/Grounder/Relstore utility tests. *)
 
 open Recalg
 open Datalog
@@ -69,26 +69,144 @@ let test_interp_counts () =
   Alcotest.(check int) "one undef" 1 (Interp.count_undef interp);
   Alcotest.(check bool) "not total" false (Interp.is_total interp)
 
-let test_grounder_strategies_agree () =
-  let program, edb =
-    parse "e(1,2). e(2,3). e(3,1). t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z)."
-  in
-  let a = Grounder.ground ~strategy:`Seminaive program edb in
-  let b = Grounder.ground ~strategy:`Naive program edb in
-  Alcotest.(check int) "same atoms" (Propgm.n_atoms a) (Propgm.n_atoms b);
-  Alcotest.(check int) "same rules" (Array.length a.Propgm.rules)
-    (Array.length b.Propgm.rules);
-  (* And the same valid model. *)
-  Alcotest.(check bool) "same model" true
-    (Interp.equal (Valid.solve a) (Valid.solve b))
-
-let prop_grounder_strategies_agree =
-  QCheck.Test.make ~name:"naive and seminaive grounding give equal models" ~count:60
-    Tgen.rand_instance_arb (fun (program, edges) ->
+(* The grounder's heads are exactly the positive envelope: EDB plus the
+   least fixpoint of the program with its negative literals removed,
+   computed here by the independent naive loop. *)
+let prop_grounder_heads_are_envelope =
+  QCheck.Test.make ~name:"grounder heads = EDB + naive positive envelope"
+    ~count:(Tgen.qcount 60) Tgen.rand_instance_arb (fun (program, edges) ->
       let edb = Tgen.e_edb edges in
-      let a = Grounder.ground ~strategy:`Seminaive program edb in
-      let b = Grounder.ground ~strategy:`Naive program edb in
-      Interp.equal (Valid.solve a) (Valid.solve b))
+      let pg = Grounder.ground program edb in
+      let heads =
+        Array.fold_left
+          (fun db (r : Propgm.rule) ->
+            let pred, tup = Propgm.fact_of_id pg r.Propgm.head in
+            Edb.add pred tup db)
+          Edb.empty pg.Propgm.rules
+      in
+      let positive =
+        List.map
+          (fun (r : Rule.t) ->
+            Rule.make r.Rule.head
+              (List.filter
+                 (fun lit ->
+                   match lit with
+                   | Literal.Neg _ -> false
+                   | Literal.Pos _ | Literal.Eq _ | Literal.Neq _ -> true)
+                 r.Rule.body))
+          program.Program.rules
+      in
+      let envelope =
+        Seminaive.naive
+          (Program.make ~builtins:program.Program.builtins positive)
+          ~base:edb positive
+      in
+      Edb.equal heads (Edb.union edb envelope))
+
+(* A model of [Relstore]: per predicate, the three sections as plain
+   sets, driven by the same random sequence of discover / promote /
+   reload steps (a reload is what [Grounder.Live] does on retract and
+   restore). After every step each section, and every probe of it on
+   every column and key, must equal the model's section filtered by that
+   key — which pins the in-place index upkeep on promote — [size] must
+   count [full] and [delta], and the sections must stay pairwise
+   disjoint. *)
+type store_op =
+  | Discover of string * int * int
+  | Promote
+  | Reload of string * (int * int) list * (int * int) list
+
+let store_op_gen =
+  QCheck.Gen.(
+    let pred = oneofl [ "p"; "q" ] in
+    let cell = int_range 0 3 in
+    let tup = pair cell cell in
+    frequency
+      [ (6, map3 (fun p a b -> Discover (p, a, b)) pred cell cell);
+        (3, return Promote);
+        ( 1,
+          map3
+            (fun p full delta -> Reload (p, full, delta))
+            pred
+            (list_size (int_range 0 6) tup)
+            (list_size (int_range 0 4) tup) ) ])
+
+let pp_store_op = function
+  | Discover (p, a, b) -> Printf.sprintf "discover %s(%d,%d)" p a b
+  | Promote -> "promote"
+  | Reload (p, full, delta) ->
+    let l = List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) in
+    Printf.sprintf "reload %s full=[%s] delta=[%s]" p
+      (String.concat " " (l full)) (String.concat " " (l delta))
+
+let prop_relstore_model =
+  QCheck.Test.make ~name:"relstore: probes = filtered sections, disjoint"
+    ~count:(Tgen.qcount 200)
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_store_op ops))
+       QCheck.Gen.(list_size (int_range 0 40) store_op_gen))
+    (fun ops ->
+      let module T = Edb.Tuples in
+      let tup (a, b) = [ vi a; vi b ] in
+      let of_list l = T.of_list (List.map tup l) in
+      let store = Relstore.create () in
+      let model = Hashtbl.create 2 in
+      let get p =
+        Option.value (Hashtbl.find_opt model p) ~default:(T.empty, T.empty, T.empty)
+      in
+      let step = function
+        | Discover (p, a, b) ->
+          let t = tup (a, b) in
+          Relstore.discover store p t;
+          let full, delta, next = get p in
+          if not (T.mem t full || T.mem t delta) then
+            Hashtbl.replace model p (full, delta, T.add t next)
+        | Promote ->
+          Relstore.promote store;
+          Hashtbl.filter_map_inplace
+            (fun _ (full, delta, next) -> Some (T.union full delta, next, T.empty))
+            model
+        | Reload (p, full, delta) ->
+          let full = of_list full in
+          let delta = T.diff (of_list delta) full in
+          Relstore.load store p ~full ~delta;
+          Hashtbl.replace model p (full, delta, T.empty)
+      in
+      let consistent p =
+        let full, delta, next = get p in
+        let next' =
+          Relstore.fold
+            (fun q ~full:_ ~delta:_ ~next acc -> if q = p then next else acc)
+            store T.empty
+        in
+        let probes_ok sec set =
+          T.equal (Relstore.section store p sec) set
+          && List.for_all
+               (fun col ->
+                 List.for_all
+                   (fun key ->
+                     T.equal
+                       (Relstore.probe store p sec col (vi key))
+                       (T.filter
+                          (fun t -> Value.equal (List.nth t col) (vi key))
+                          set))
+                   [ 0; 1; 2; 3 ])
+               [ 0; 1 ]
+        in
+        T.equal next next'
+        && Relstore.size store p = T.cardinal full + T.cardinal delta
+        && probes_ok Relstore.Full full
+        && probes_ok Relstore.Delta delta
+        && T.is_empty (T.inter full delta)
+        && T.is_empty (T.inter full next)
+        && T.is_empty (T.inter delta next)
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          consistent "p" && consistent "q")
+        ops)
+
 
 let test_subst_ops () =
   let s = Subst.bind "X" (vi 1) Subst.empty in
@@ -120,8 +238,8 @@ let suite =
     Alcotest.test_case "edb operations" `Quick test_edb_ops;
     Alcotest.test_case "interp false tuples" `Quick test_interp_false_tuples;
     Alcotest.test_case "interp counts" `Quick test_interp_counts;
-    Alcotest.test_case "grounder strategies agree" `Quick test_grounder_strategies_agree;
     Alcotest.test_case "subst operations" `Quick test_subst_ops;
     Alcotest.test_case "rule utilities" `Quick test_rule_utilities;
-    QCheck_alcotest.to_alcotest prop_grounder_strategies_agree;
+    QCheck_alcotest.to_alcotest prop_grounder_heads_are_envelope;
+    QCheck_alcotest.to_alcotest prop_relstore_model;
   ]

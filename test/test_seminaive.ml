@@ -71,7 +71,8 @@ let test_edb_facts_for_idb_pred () =
   | Error e -> Alcotest.fail e
 
 let prop_naive_equals_seminaive =
-  QCheck.Test.make ~name:"naive = seminaive on random positive programs" ~count:80
+  QCheck.Test.make ~name:"naive = seminaive on random positive programs"
+    ~count:(Tgen.qcount 80)
     Tgen.rand_instance_arb (fun (program, edges) ->
       (* Keep only the negation-free rules to stay in the positive
          fragment both evaluators support symmetrically. *)
@@ -95,7 +96,7 @@ let prop_naive_equals_seminaive =
 
 let prop_seminaive_equals_grounding =
   QCheck.Test.make ~name:"stratified seminaive = valid engine on stratified programs"
-    ~count:60 Tgen.rand_instance_arb (fun (program, edges) ->
+    ~count:(Tgen.qcount 60) Tgen.rand_instance_arb (fun (program, edges) ->
       QCheck.assume (Stratify.is_stratified program);
       let edb = Tgen.e_edb edges in
       match Run.stratified program edb with
