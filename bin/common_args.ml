@@ -40,7 +40,20 @@ let default_par_threshold () =
 
 let term =
   let fuel =
-    Arg.(value & opt int 1_000_000 & info [ "fuel" ] ~doc:"Evaluation step budget.")
+    (* A budget of zero or less cannot run a single step: a usage error,
+       reported by the argument parser before evaluation starts. *)
+    let positive =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n > 0 -> Ok n
+        | Some _ | None ->
+          Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
+    Arg.(
+      value & opt positive 1_000_000
+      & info [ "fuel" ] ~doc:"Evaluation step budget (a positive integer).")
   in
   let timeout_ms =
     Arg.(
@@ -254,11 +267,33 @@ let report_stats t =
 (* Exit-code contract (documented in the README): parse errors exit 2
    before evaluation starts; an unsafe or untranslatable program and an
    injected fault exit 1; resource exhaustion maps fuel -> 3,
-   deadline -> 4, and cancellation/memory -> 5. *)
+   deadline -> 4, and cancellation/memory -> 5; an I/O error (an output
+   file that cannot be written, a file that cannot be read mid-run)
+   exits 6. *)
 let exit_code = function
   | Limits.Fuel -> 3
   | Limits.Deadline -> 4
   | Limits.Memory | Limits.Cancelled -> 5
+
+let io_error_code = 6
+
+(* Every file the run will write must land in an existing directory;
+   checked before evaluation so a typo in --trace or --metrics costs
+   nothing. I/O failures that only show up later (permissions, a full
+   disk, a --stats-file that is a directory) are reported with the same
+   code by [with_reporting]. *)
+let check_output_paths t =
+  let targets =
+    List.filter_map Fun.id [ t.trace; t.metrics; t.stats_file ]
+  in
+  List.iter
+    (fun path ->
+      let dir = Filename.dirname path in
+      if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+        Fmt.epr "error: cannot write %s: no such directory %s@." path dir;
+        exit io_error_code
+      end)
+    targets
 
 (* Run [f] — which receives the budget built from [t] — with whatever
    reporting [t] asks for, on the pool size [t] requests (the workers
@@ -273,10 +308,15 @@ let exit_code = function
    tmp + rename) has been completed, so an aborted run still leaves a
    whole, readable trace. *)
 let with_reporting t f =
+  check_output_paths t;
   Pool.set_domains t.domains;
   Algebra.Join.par_threshold := t.par_threshold;
   let fuel = fuel_of t in
   let code = ref 0 in
+  let io_error msg =
+    Fmt.epr "error: I/O error: %s@." msg;
+    code := io_error_code
+  in
   let go oc =
     let sink = Option.fold ~none:Obs.Sink.null ~some:Obs.Sink.jsonl oc in
     Datalog.Run.with_obs sink @@ fun () ->
@@ -296,12 +336,23 @@ let with_reporting t f =
     | Translate.Datalog_to_alg.Untranslatable msg ->
       Fmt.epr "error: untranslatable program: %s@." msg;
       code := 1
+    | Algebra.Eval.Undefined_relation name
+    | Algebra.Rec_eval.Undefined_relation name
+    | Algebra.Incremental.Undefined_relation name ->
+      Fmt.epr "error: invalid program: undefined relation %s@." name;
+      code := 1
     | Faultinj.Injected { site; hit } ->
       (* Chaos runs (RECALG_FAULTS) die cleanly like any other abort:
          state already rolled back by the engines, trace file completed
          below, generic failure exit. *)
       Fmt.epr "error: injected fault at %s (hit %d)@." site hit;
       code := 1
+    | Sys_error msg -> io_error msg
+  in
+  (* Opening and renaming the trace and metrics files happen outside
+     [go]. *)
+  let write path contents =
+    try Safe_io.with_file path contents with Sys_error msg -> io_error msg
   in
   let collect = t.metrics <> None || t.profile in
   if collect then begin
@@ -310,7 +361,7 @@ let with_reporting t f =
   end;
   (match t.trace with
   | None -> go None
-  | Some path -> Safe_io.with_file path (fun oc -> go (Some oc)));
+  | Some path -> write path (fun oc -> go (Some oc)));
   (* Metrics files are written after the run (and after the trace file
      is complete), from a quiesced registry, via the same tmp + rename
      path as every other artifact — an aborted run still leaves whole
@@ -320,9 +371,9 @@ let with_reporting t f =
     let sn = Obs.Metrics.snapshot () in
     Option.iter
       (fun path ->
-        Safe_io.with_file path (fun oc ->
+        write path (fun oc ->
             output_string oc (Obs.Metrics.to_prometheus sn));
-        Safe_io.with_file (path ^ ".json") (fun oc ->
+        write (path ^ ".json") (fun oc ->
             output_string oc (Obs.Metrics.to_json sn)))
       t.metrics;
     if t.profile then Fmt.epr "%a@." (Obs.Metrics.pp_report ?top:None) sn

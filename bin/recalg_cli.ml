@@ -10,11 +10,21 @@
 open Recalg
 open Cmdliner
 
+(* An input that exists but cannot be read (a directory, a permission
+   problem) is reported like a parse error: before evaluation, exit 2. *)
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  match open_in_bin path with
+  | exception Sys_error msg ->
+    Fmt.epr "error: cannot read %s: %s@." path msg;
+    exit 2
+  | ic -> (
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        try really_input_string ic (in_channel_length ic)
+        with Sys_error msg ->
+          Fmt.epr "error: cannot read %s: %s@." path msg;
+          exit 2))
 
 let load path =
   match Datalog.Parser.parse (read_file path) with

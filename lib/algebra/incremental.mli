@@ -24,9 +24,9 @@
       negatively): conservative from-scratch evaluation via {!Eval},
       counted by the [incr/recompute] observability counter.
 
-    The contract, tested by QCheck in [test_incremental.ml]: after any
-    sequence of updates, {!value} is {e byte-identical} to evaluating the
-    query from scratch on the final database. *)
+    The contract, tested by the [incremental] knob of [test_oracle.ml]:
+    after any sequence of updates, {!value} is {e byte-identical} to
+    evaluating the query from scratch on the final database. *)
 
 open Recalg_kernel
 

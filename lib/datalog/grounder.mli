@@ -38,8 +38,8 @@ val ground :
     Interned atoms are never forgotten — a stale atom heads no rule and
     is therefore false under every semantics, so the maintained program
     is {!Interp.equal}-indistinguishable from grounding the updated
-    database from scratch (the guarantee QCheck exercises in
-    [test_incremental.ml]). *)
+    database from scratch (the guarantee the [incremental] knob of
+    [test_oracle.ml] exercises). *)
 module Live : sig
   type t
 

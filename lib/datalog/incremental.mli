@@ -18,9 +18,9 @@
       observability counter, alongside [incr/extend], [incr/dred],
       [incr/insertions] and [incr/retractions].
 
-    The contract, tested by QCheck in [test_incremental.ml]: after any
-    update sequence, {!result} equals from-scratch stratified evaluation
-    of the final database, byte for byte. *)
+    The contract, tested by the [incremental] knob of [test_oracle.ml]:
+    after any update sequence, {!result} equals from-scratch stratified
+    evaluation of the final database, byte for byte. *)
 
 open Recalg_kernel
 

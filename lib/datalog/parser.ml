@@ -59,7 +59,10 @@ let tokenize src =
       while !i < n && src.[!i] >= '0' && src.[!i] <= '9' do
         incr i
       done;
-      emit (INT (int_of_string (String.sub src start (!i - start))))
+      let lit = String.sub src start (!i - start) in
+      match int_of_string_opt lit with
+      | Some n -> emit (INT n)
+      | None -> error "integer literal %s out of range" lit
     end
     else if is_ident_char c then begin
       let start = !i in

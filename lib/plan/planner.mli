@@ -22,8 +22,8 @@
     (enforced by a defensive count — on mismatch the planner declines
     and the original expression runs), and reshapes are bijections on
     the canonical sets. Plan choice may change {e fuel} (iteration
-    accounting) in principle; the QCheck properties pin result equality,
-    and the test suite pins fuel equality on the shapes we ship.
+    accounting) in principle; the oracle's plan knobs ([test_oracle.ml])
+    pin result and fuel equality on random instances.
 
     Per-node strategy advice rides along: joins with a tiny estimated
     product are advised [Unfused], joins whose estimated input reaches

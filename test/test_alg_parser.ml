@@ -59,7 +59,15 @@ let test_parse_errors () =
     (Result.is_error (Parser.parse_program "query {1}; query {2};"));
   Alcotest.(check bool) "reserved name" true
     (Result.is_error (Parser.parse_program "let map = {1};"));
-  Alcotest.(check bool) "garbage" true (Result.is_error (Parser.parse_expr "{1} +"))
+  Alcotest.(check bool) "garbage" true (Result.is_error (Parser.parse_expr "{1} +"));
+  (* An integer literal beyond the native range is a parse error, not an
+     uncaught [Failure "int_of_string"]. *)
+  Alcotest.(check bool) "integer out of range" true
+    (Result.is_error (Parser.parse_program "let x = {99999999999999999999999};"));
+  Alcotest.(check bool) "integer out of range, bad statement" true
+    (Result.is_error (Parser.parse_program "x = {99999999999999999999999}."));
+  Alcotest.(check bool) "max_int is in range" true
+    (Result.is_ok (Parser.parse_expr "{4611686018427387903}"))
 
 let test_parse_pred_connectives () =
   let v =

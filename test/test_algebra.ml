@@ -1,6 +1,8 @@
 (* Algebra tests: element functions, selection tests, the two-valued
    evaluator with IFP, the three-valued recursive evaluator, and the
-   polarity analysis — every running example of Section 3. *)
+   polarity analysis — every running example of Section 3. Engine
+   equivalences on random instances (Prop 3.4, naive = semi-naive,
+   fused = unfused) live in test_oracle.ml. *)
 
 open Recalg
 open Algebra
@@ -15,17 +17,7 @@ let eval_closed e = Eval.eval no_defs Db.empty e
 let eval_db db e = Eval.eval no_defs db e
 
 (* Relational composition of binary relations (as sets of pairs). *)
-let compose a b =
-  Expr.(
-    map
-      (Efun.Tuple_of
-         [ Efun.Compose (Efun.Proj 1, Efun.Proj 1);
-           Efun.Compose (Efun.Proj 2, Efun.Proj 2) ])
-      (select
-         (Pred.Eq
-            ( Efun.Compose (Efun.Proj 2, Efun.Proj 1),
-              Efun.Compose (Efun.Proj 1, Efun.Proj 2) ))
-         (product a b)))
+let compose = Tgen.compose_expr
 
 let win_body =
   Expr.(pi 1 (diff (rel "move") (product (pi 1 (rel "move")) (rel "win"))))
@@ -303,20 +295,6 @@ let test_positive_ifp () =
 
 (* --- properties --- *)
 
-let prop_monotone_rec_equals_ifp =
-  (* Proposition 3.4 over random graphs. *)
-  QCheck.Test.make ~name:"Prop 3.4: monotone S=exp(S) equals IFP_exp" ~count:60
-    Tgen.graph_arb (fun edges ->
-      let db =
-        Db.of_list
-          [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
-      in
-      let body x = Expr.(union (rel "edge") (compose (rel "edge") x)) in
-      let defs = Defs.make [ Defs.constant "tc" (body (Expr.rel "tc")) ] in
-      let s = Rec_eval.constant (Rec_eval.solve defs db) "tc" in
-      let ifp = Eval.eval no_defs db (Expr.ifp "x" (body (Expr.rel "x"))) in
-      Rec_eval.is_defined s && Value.equal s.Rec_eval.low ifp)
-
 let prop_select_splits =
   QCheck.Test.make ~name:"sigma_p(S) ∪ sigma_{not p}(S) = S for total p" ~count:200
     Tgen.small_set_arb (fun s ->
@@ -362,35 +340,9 @@ let suite =
     Alcotest.test_case "polarity analysis" `Quick test_positivity_polarity;
     Alcotest.test_case "WIN body negative" `Quick test_positivity_win_negative;
     Alcotest.test_case "positive IFP check" `Quick test_positive_ifp;
-    QCheck_alcotest.to_alcotest prop_monotone_rec_equals_ifp;
     QCheck_alcotest.to_alcotest prop_select_splits;
     QCheck_alcotest.to_alcotest prop_map_union_commute;
   ]
-
-let prop_windowed_rec_eval_sound =
-  (* Intersecting with a window that covers the whole relevant universe
-     must not change answers inside it: windowed TC equals unwindowed. *)
-  QCheck.Test.make ~name:"window covering the universe is sound" ~count:40
-    Tgen.graph_arb (fun edges ->
-      let db =
-        Db.of_list
-          [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
-      in
-      let body x = Expr.(union (rel "edge") (compose (rel "edge") x)) in
-      let defs = Defs.make [ Defs.constant "tc" (body (Expr.rel "tc")) ] in
-      let nodes = List.sort_uniq compare (List.concat_map (fun (a, b) -> [ a; b ]) edges) in
-      let window =
-        Value.set
-          (List.concat_map
-             (fun a -> List.map (fun b -> Value.pair (vs a) (vs b)) nodes)
-             nodes)
-      in
-      let plain = Rec_eval.constant (Rec_eval.solve defs db) "tc" in
-      let windowed = Rec_eval.constant (Rec_eval.solve ~window defs db) "tc" in
-      Value.equal plain.Rec_eval.low windowed.Rec_eval.low
-      && Value.equal plain.Rec_eval.high windowed.Rec_eval.high)
-
-let suite = suite @ [ QCheck_alcotest.to_alcotest prop_windowed_rec_eval_sound ]
 
 (* --- semi-naive delta evaluation (Delta / Positivity.delta_linear) --- *)
 
@@ -436,63 +388,6 @@ let test_seminaive_mixture_body () =
     Eval.eval ~advice:{ Advice.none with strategy = Delta.Seminaive } no_defs db e
   in
   Alcotest.check check_value "mixture body agrees" naive semi
-
-let prop_seminaive_ifp_equals_naive =
-  (* The engine-equivalence property behind experiment E2: on random
-     recursive bodies — including non-monotone ones and ones forcing the
-     conservative fallback — semi-naive IFP iteration reaches exactly the
-     same fixpoint as naive re-evaluation, spending the same fuel. *)
-  QCheck.Test.make ~name:"semi-naive IFP = naive IFP" ~count:200
-    QCheck.(pair Tgen.ifp_body_arb Tgen.graph_arb)
-    (fun (body, edges) ->
-      let db =
-        Db.of_list
-          [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
-      in
-      let e = Expr.ifp "x" body in
-      let run strategy =
-        let advice = { Advice.none with strategy } in
-        try Ok (Eval.eval ~fuel:(Limits.of_int 400) ~advice no_defs db e)
-        with Limits.Diverged _ -> Error `Diverged
-      in
-      match (run Delta.Naive, run Delta.Seminaive) with
-      | Ok a, Ok b -> Value.equal a b
-      | Error `Diverged, Error `Diverged -> true
-      | _ -> false)
-
-let prop_seminaive_rec_eval_equals_naive =
-  (* Same equivalence for the three-valued alternating fixpoint: a pair
-     of mutually recursive constants with random bodies must get
-     byte-identical low and high bounds under both strategies. *)
-  QCheck.Test.make ~name:"semi-naive rec_eval bounds = naive" ~count:100
-    QCheck.(triple Tgen.ifp_body_arb Tgen.ifp_body_arb Tgen.graph_arb)
-    (fun (b1, b2, edges) ->
-      let db =
-        Db.of_list
-          [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
-      in
-      let subst to_ e =
-        Expr.map_rels (fun n -> Expr.rel (if n = "x" then to_ else n)) e
-      in
-      let defs =
-        Defs.make
-          [ Defs.constant "c" (subst "d" b1); Defs.constant "d" (subst "c" b2) ]
-      in
-      let run strategy =
-        try
-          let advice = { Advice.none with strategy } in
-          let sol = Rec_eval.solve ~fuel:(Limits.of_int 5000) ~advice defs db in
-          Ok (Rec_eval.constant sol "c", Rec_eval.constant sol "d")
-        with Limits.Diverged _ -> Error `Diverged
-      in
-      match (run Delta.Naive, run Delta.Seminaive) with
-      | Ok (c1, d1), Ok (c2, d2) ->
-        Value.equal c1.Rec_eval.low c2.Rec_eval.low
-        && Value.equal c1.Rec_eval.high c2.Rec_eval.high
-        && Value.equal d1.Rec_eval.low d2.Rec_eval.low
-        && Value.equal d1.Rec_eval.high d2.Rec_eval.high
-      | Error `Diverged, Error `Diverged -> true
-      | _ -> false)
 
 (* --- Join planning (select∘product fusion) --- *)
 
@@ -569,84 +464,16 @@ let test_join_exec_matches_filter () =
   Alcotest.check check_value "hash join = product-then-filter" unfused
     (Join.exec builtins plan a b)
 
-let prop_fused_eval_equals_unfused =
-  (* The planner-equivalence property behind experiment E6: on random
-     recursive bodies — including shapes the planner cannot fuse — hash
-     join evaluation returns byte-identical sets and spends identical
-     fuel, under both IFP strategies. *)
-  QCheck.Test.make ~name:"fused eval = unfused eval (value and fuel)" ~count:200
-    QCheck.(pair Tgen.ifp_body_arb Tgen.graph_arb)
-    (fun (body, edges) ->
-      let db =
-        Db.of_list
-          [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
-      in
-      let e = Expr.ifp "x" body in
-      let run strategy join =
-        let fuel = Limits.of_int 400 in
-        let advice = { Advice.none with strategy; join } in
-        try Ok (Eval.eval ~fuel ~advice no_defs db e, Limits.remaining fuel)
-        with Limits.Diverged _ -> Error `Diverged
-      in
-      List.for_all
-        (fun strategy ->
-          match (run strategy Join.Fused, run strategy Join.Unfused) with
-          | Ok (v1, f1), Ok (v2, f2) -> Value.equal v1 v2 && f1 = f2
-          | Error `Diverged, Error `Diverged -> true
-          | _ -> false)
-        [ Delta.Naive; Delta.Seminaive ])
-
-let prop_fused_rec_eval_equals_unfused =
-  (* Same equivalence for the three-valued alternating fixpoint: both
-     bounds of every constant, and the fuel spent, must agree. *)
-  QCheck.Test.make ~name:"fused rec_eval = unfused (bounds and fuel)" ~count:100
-    QCheck.(triple Tgen.ifp_body_arb Tgen.ifp_body_arb Tgen.graph_arb)
-    (fun (b1, b2, edges) ->
-      let db =
-        Db.of_list
-          [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
-      in
-      let subst to_ e =
-        Expr.map_rels (fun n -> Expr.rel (if n = "x" then to_ else n)) e
-      in
-      let defs =
-        Defs.make
-          [ Defs.constant "c" (subst "d" b1); Defs.constant "d" (subst "c" b2) ]
-      in
-      let run join =
-        let fuel = Limits.of_int 5000 in
-        try
-          let sol = Rec_eval.solve ~fuel ~advice:{ Advice.none with join } defs db in
-          Ok
-            ( Rec_eval.constant sol "c",
-              Rec_eval.constant sol "d",
-              Limits.remaining fuel )
-        with Limits.Diverged _ -> Error `Diverged
-      in
-      match (run Join.Fused, run Join.Unfused) with
-      | Ok (c1, d1, f1), Ok (c2, d2, f2) ->
-        Value.equal c1.Rec_eval.low c2.Rec_eval.low
-        && Value.equal c1.Rec_eval.high c2.Rec_eval.high
-        && Value.equal d1.Rec_eval.low d2.Rec_eval.low
-        && Value.equal d1.Rec_eval.high d2.Rec_eval.high
-        && f1 = f2
-      | Error `Diverged, Error `Diverged -> true
-      | _ -> false)
-
 let suite =
   suite
   @ [
       Alcotest.test_case "delta linearity" `Quick test_delta_linearity;
       Alcotest.test_case "semi-naive mixture body" `Quick
         test_seminaive_mixture_body;
-      QCheck_alcotest.to_alcotest prop_seminaive_ifp_equals_naive;
-      QCheck_alcotest.to_alcotest prop_seminaive_rec_eval_equals_naive;
       Alcotest.test_case "join plan: compose idiom" `Quick test_join_plan_compose;
       Alcotest.test_case "join plan: residual and composite keys" `Quick
         test_join_plan_residual;
       Alcotest.test_case "join plan: fallback cases" `Quick test_join_plan_none;
       Alcotest.test_case "join exec = filter∘product" `Quick
         test_join_exec_matches_filter;
-      QCheck_alcotest.to_alcotest prop_fused_eval_equals_unfused;
-      QCheck_alcotest.to_alcotest prop_fused_rec_eval_equals_unfused;
     ]

@@ -18,24 +18,12 @@ module Run = Datalog.Run
 module Interp = Datalog.Interp
 module Edb = Datalog.Edb
 
-let vp a b = Value.pair (Value.sym a) (Value.sym b)
+(* The transitive-closure workloads test_incremental.ml maintains. *)
 let no_defs = Defs.make []
-
-let edge_db edges =
-  Db.of_list [ ("edge", List.map (fun (a, b) -> vp a b) edges) ]
-
-let tc_expr =
-  Expr.ifp "x"
-    (Expr.union (Expr.rel "edge")
-       (Tgen.compose_expr (Expr.rel "edge") (Expr.rel "x")))
-
-let tc_defs =
-  Defs.make
-    [
-      Defs.constant "T"
-        (Expr.union (Expr.rel "edge")
-           (Tgen.compose_expr (Expr.rel "edge") (Expr.rel "T")));
-    ]
+let edge_db = Test_incremental.edge_db
+let tc_expr = Test_incremental.tc_expr
+let tc_defs = Test_incremental.tc_defs
+let vp = Test_incremental.vp
 
 let dl_program =
   match
@@ -182,21 +170,22 @@ let test_sites_visited () =
    engine byte-identical to never having started the batch — and after
    disarming, the same batch applies cleanly and agrees with scratch. *)
 
-let batches_gen =
-  QCheck.Gen.(
-    let edge = pair (oneofl Tgen.node_names) (oneofl Tgen.node_names) in
-    list_size (int_range 1 4) (pair bool edge))
-
-let print_batch b =
-  String.concat ","
-    (List.map (fun (ins, (x, y)) -> (if ins then "+" else "-") ^ x ^ y) b)
-
-let dl_batch ops =
-  List.fold_left
-    (fun u (ins, (a, b)) ->
-      let t = [ Value.sym a; Value.sym b ] in
-      if ins then DU.insert "e" t u else DU.delete "e" t u)
-    DU.empty ops
+(* Arm each fault plan in turn around one batch: a batch the fault
+   interrupts must leave [state] as it was before the first plan (a
+   fault that falls past the batch's visits lets it complete). *)
+let atomic plans ~apply ~state ~same =
+  let pre = state () in
+  List.for_all
+    (fun (site, after) ->
+      Faultinj.arm ~site ~after;
+      let ok =
+        match apply () with
+        | _ -> true
+        | exception Faultinj.Injected _ -> same (state ()) pre
+      in
+      Faultinj.disarm ();
+      ok)
+    plans
 
 (* The injection points that can land inside a Datalog update batch,
    each tried at several depths so the fault hits the batch-entry
@@ -205,154 +194,70 @@ let dl_fault_plans =
   [ ("incr/batch", 0); ("seminaive/round", 0); ("seminaive/round", 2);
     ("value/intern", 5); ("ground/round", 0); ("ground/round", 2) ]
 
-let dl_abort_arb =
-  QCheck.make
-    ~print:(fun (p, g, b) ->
-      Datalog.Program.to_string p ^ " | "
-      ^ String.concat " " (List.map (fun (a, b) -> a ^ "->" ^ b) g)
-      ^ " | " ^ print_batch b)
-    QCheck.Gen.(
-      triple Tgen.rand_program_gen
-        (Tgen.graph_gen ~max_nodes:4 ~max_edges:6 ())
-        batches_gen)
+(* Random programs (p/q/r over e) and IFP bodies (over edge), each with
+   its first update batch. *)
+let first_batch ?(count = 80) cls ~name k =
+  QCheck.Test.make ~name ~count:(Tgen.qcount count)
+    (QCheck.make ~print:(Fmt.to_to_string Tgen.pp_instance) (Tgen.instance_gen cls))
+    k
 
 let prop_dl_abort_atomic =
-  QCheck.Test.make
-    ~name:"datalog incremental: aborted batch ≡ never started"
-    ~count:(Tgen.qcount 80) dl_abort_arb (fun (program, g, ops) ->
-      match DI.init program (Tgen.e_edb g) with
-      | Error _ -> true (* not stratified: out of scope *)
-      | Ok t ->
-        let u = dl_batch ops in
-        let pre_edb = DI.edb t and pre_result = DI.result t in
-        let atomic =
-          List.for_all
-            (fun (site, after) ->
-              Faultinj.arm ~site ~after;
-              let ok =
-                match DI.update t u with
-                | _ -> true (* fault fell past this batch's visits *)
-                | exception Faultinj.Injected _ ->
-                  Edb.equal (DI.edb t) pre_edb
-                  && Edb.equal (DI.result t) pre_result
-              in
-              Faultinj.disarm ();
-              (* Re-establish the pre-batch state for the next plan:
-                 set-semantics batches are idempotent, so re-applying
-                 from either state converges; roll back via inverse is
-                 not needed — just rebuild. *)
-              ok)
-            dl_fault_plans
-        in
-        (* A clean run from wherever the sweep left the engine must
-           agree with scratch on the final database. *)
-        let final = DI.update t u in
-        let scratch =
+  first_batch Tgen.Dl_any ~name:"datalog incremental: aborted batch ≡ never started"
+    (function
+      | Tgen.Dl { program; edb; updates = u :: _ } -> (
+        match DI.init program edb with
+        | Error _ -> true (* not stratified: out of scope *)
+        | Ok t ->
+          let ok =
+            atomic dl_fault_plans
+              ~apply:(fun () -> DI.update t u)
+              ~state:(fun () -> (DI.edb t, DI.result t))
+              ~same:(fun (e, r) (e', r') -> Edb.equal e e' && Edb.equal r r')
+          in
+          (* A clean run from wherever the sweep left the engine must
+             agree with scratch on the final database. *)
+          let final = DI.update t u in
           match Datalog.Seminaive.stratified program (DI.edb t) with
-          | Ok e -> e
-          | Error m -> Alcotest.fail m
-        in
-        atomic && Edb.equal final scratch)
-
-let alg_abort_arb =
-  QCheck.make
-    ~print:(fun (body, g, b) ->
-      Expr.to_string body ^ " | "
-      ^ String.concat " " (List.map (fun (a, b) -> a ^ "->" ^ b) g)
-      ^ " | " ^ print_batch b)
-    QCheck.Gen.(
-      triple Tgen.ifp_body_gen
-        (Tgen.graph_gen ~max_nodes:4 ~max_edges:6 ())
-        batches_gen)
-
-let alg_batch ops =
-  List.fold_left
-    (fun u (ins, (a, b)) ->
-      if ins then AI.Update.insert "edge" (vp a b) u
-      else AI.Update.delete "edge" (vp a b) u)
-    AI.Update.empty ops
+          | Ok scratch -> ok && Edb.equal final scratch
+          | Error m -> Alcotest.fail m)
+      | _ -> assert false)
 
 let prop_alg_abort_atomic =
-  QCheck.Test.make
-    ~name:"algebra incremental: aborted batch ≡ never started"
-    ~count:(Tgen.qcount 80) alg_abort_arb (fun (body, g, ops) ->
-      let e = Expr.ifp "x" body in
-      let eng = AI.init no_defs (edge_db g) e in
-      let u = alg_batch ops in
-      let pre = AI.value eng in
-      let pre_edge = Db.find (AI.db eng) "edge" in
-      let atomic =
-        List.for_all
-          (fun (site, after) ->
-            Faultinj.arm ~site ~after;
-            let ok =
-              match AI.update eng u with
-              | _ -> true
-              | exception Faultinj.Injected _ ->
-                Value.equal (AI.value eng) pre
-                && Option.equal Value.equal (Db.find (AI.db eng) "edge") pre_edge
-            in
-            Faultinj.disarm ();
-            ok)
-          [ ("incr/batch", 0); ("eval/round", 0); ("value/intern", 3) ]
-      in
-      let final = AI.update eng u in
-      atomic && Value.equal final (Eval.eval no_defs (AI.db eng) e))
+  first_batch Tgen.Alg_ifp ~name:"algebra incremental: aborted batch ≡ never started"
+    (function
+      | Tgen.Alg { defs; db; query; updates = u :: _ } ->
+        let eng = AI.init defs db query in
+        let ok =
+          atomic
+            [ ("incr/batch", 0); ("eval/round", 0); ("value/intern", 3) ]
+            ~apply:(fun () -> AI.update eng u)
+            ~state:(fun () -> (AI.value eng, Db.find (AI.db eng) "edge"))
+            ~same:(fun (v, e) (v', e') -> Value.equal v v' && Option.equal Value.equal e e')
+        in
+        let final = AI.update eng u in
+        ok && Value.equal final (Eval.eval defs (AI.db eng) query)
+      | _ -> assert false)
 
 let prop_live_abort_atomic =
-  QCheck.Test.make
+  first_batch Tgen.Dl_any ~count:60
     ~name:"live grounding: aborted batch ≡ never started (valid semantics)"
-    ~count:(Tgen.qcount 60) dl_abort_arb (fun (program, g, ops) ->
-      let live = Run.Live.start ~semantics:`Valid program (Tgen.e_edb g) in
-      let u = dl_batch ops in
-      let pre_interp = Run.Live.interp live and pre_edb = Run.Live.edb live in
-      let atomic =
-        List.for_all
-          (fun (site, after) ->
-            Faultinj.arm ~site ~after;
-            let ok =
-              match Run.Live.update live u with
-              | _ -> true
-              | exception Faultinj.Injected _ ->
-                Interp.equal (Run.Live.interp live) pre_interp
-                && Edb.equal (Run.Live.edb live) pre_edb
-            in
-            Faultinj.disarm ();
-            ok)
-          [ ("incr/batch", 0); ("ground/round", 0); ("ground/round", 2);
-            ("value/intern", 5) ]
-      in
-      let i = Run.Live.update live u in
-      atomic && Interp.equal i (Run.valid program (Run.Live.edb live)))
+    (function
+      | Tgen.Dl { program; edb; updates = u :: _ } ->
+        let live = Run.Live.start ~semantics:`Valid program edb in
+        let ok =
+          atomic
+            [ ("incr/batch", 0); ("ground/round", 0); ("ground/round", 2);
+              ("value/intern", 5) ]
+            ~apply:(fun () -> Run.Live.update live u)
+            ~state:(fun () -> (Run.Live.interp live, Run.Live.edb live))
+            ~same:(fun (i, e) (i', e') -> Interp.equal i i' && Edb.equal e e')
+        in
+        let i = Run.Live.update live u in
+        ok && Interp.equal i (Run.valid program (Run.Live.edb live))
+      | _ -> assert false)
 
 (* ------------------------------------------------------------------ *)
 (* The governed-budget contract.                                       *)
-
-(* Arming ceilings that never trip changes nothing: value and fuel
-   equal the plain-budget run, divergence included. *)
-let prop_governed_equals_plain =
-  QCheck.Test.make
-    ~name:"governed (no ceiling hit) ≡ plain fuel (value and fuel)"
-    ~count:(Tgen.qcount 80)
-    QCheck.(pair Tgen.ifp_body_arb Tgen.graph_arb)
-    (fun (body, edges) ->
-      let e = Expr.ifp "x" body in
-      let run mk =
-        let fuel = mk () in
-        try
-          Ok (Eval.eval ~fuel no_defs (edge_db edges) e, Limits.remaining fuel)
-        with Limits.Diverged _ -> Error `Diverged
-      in
-      let plain = run (fun () -> Limits.of_int 400) in
-      let governed =
-        run (fun () ->
-            Limits.governed ~fuel:400 ~timeout_ms:3_600_000
-              ~memory_limit_mb:1_048_576 ())
-      in
-      match (plain, governed) with
-      | Ok (v1, f1), Ok (v2, f2) -> Value.equal v1 v2 && f1 = f2
-      | Error `Diverged, Error `Diverged -> true
-      | _ -> false)
 
 let test_timeout_interrupts_divergence () =
   let fuel = Limits.governed ~timeout_ms:50 () in
@@ -440,7 +345,7 @@ let test_degrade_stratified_prefix () =
    incompleteness. *)
 let test_incremental_promotes_degradation () =
   let base = Tgen.e_edb (List.tl chain_edges) in
-  let u = dl_batch [ (true, ("a", "b")) ] in
+  let u = DU.insert "e" [ Value.sym "a"; Value.sym "b" ] DU.empty in
   let spent_by_init =
     let fuel = Limits.governed ~fuel:100_000 ~degrade:true () in
     match DI.init ~fuel dl_program base with
@@ -577,7 +482,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dl_abort_atomic;
     QCheck_alcotest.to_alcotest prop_alg_abort_atomic;
     QCheck_alcotest.to_alcotest prop_live_abort_atomic;
-    QCheck_alcotest.to_alcotest prop_governed_equals_plain;
     Alcotest.test_case "timeout interrupts a divergent fixpoint" `Quick
       test_timeout_interrupts_divergence;
     Alcotest.test_case "cancellation interrupts a divergent fixpoint" `Quick

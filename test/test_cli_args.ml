@@ -79,6 +79,20 @@ let test_exit_codes () =
         Alcotest.(check int) "fuel exits 3" 3 (run "--fuel 1000");
         Alcotest.(check int) "degraded run reports the exhausted resource" 3
           (run "--fuel 1000 --degrade");
+        (* A budget that cannot take one step is a usage error, reported
+           by the argument parser before evaluation. *)
+        Alcotest.(check int) "zero fuel is a usage error" 124 (run "--fuel 0");
+        Alcotest.(check int) "negative fuel is a usage error" 124 (run "--fuel=-5");
+        (* Output files in a missing directory: a structured error before
+           evaluation, not an uncaught Sys_error. *)
+        let missing =
+          Filename.concat (Filename.get_temp_dir_name ()) "recalg-no-such-dir"
+        in
+        Alcotest.(check bool) "test directory absent" false (Sys.file_exists missing);
+        Alcotest.(check int) "trace into a missing directory exits 6" 6
+          (run ("--trace " ^ Filename.quote (Filename.concat missing "t.jsonl")));
+        Alcotest.(check int) "metrics into a missing directory exits 6" 6
+          (run ("--metrics " ^ Filename.quote (Filename.concat missing "m.prom")));
         (* An unsafe program is a structured error on every verb that
            evaluates or translates it, not an uncaught exception. *)
         let oc = open_out dl in
@@ -98,7 +112,46 @@ let test_exit_codes () =
         Alcotest.(check int) "unsafe program exits 1: query" 1
           (Sys.command
              (Printf.sprintf "%s query %s 'p(X)' >/dev/null 2>&1"
-                (Filename.quote exe) (Filename.quote dl))))
+                (Filename.quote exe) (Filename.quote dl)));
+        (* Integer literals beyond the native range are parse errors in
+           every input the CLI reads. *)
+        let huge = "99999999999999999999999" in
+        let cli args =
+          Sys.command
+            (Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote exe) args)
+        in
+        let with_file ext contents f =
+          let path = Filename.temp_file "recalg_huge" ext in
+          Fun.protect
+            ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+            (fun () ->
+              let oc = open_out path in
+              output_string oc contents;
+              close_out oc;
+              f (Filename.quote path))
+        in
+        with_file ".dl" ("p(" ^ huge ^ ").\n") (fun p ->
+            Alcotest.(check int) "out-of-range literal in a program exits 2" 2
+              (cli ("run " ^ p)));
+        with_file ".alg" ("let y = {" ^ huge ^ "};\n") (fun p ->
+            Alcotest.(check int) "out-of-range literal in an algebra program exits 2" 2
+              (cli ("alg " ^ p)));
+        with_file ".upd" ("+p(" ^ huge ^ ").\n") (fun u ->
+            let oc = open_out dl in
+            output_string oc "p(1).\n";
+            close_out oc;
+            Alcotest.(check int) "out-of-range literal in an update exits 2" 2
+              (cli (Printf.sprintf "update %s %s" (Filename.quote dl) u)));
+        (* A query naming no relation is an invalid program; an input
+           that cannot be read is reported before evaluation. *)
+        let dir = Filename.quote (Filename.get_temp_dir_name ()) in
+        with_file ".alg" "let y = {1};\nquery nosuchrel;\n" (fun p ->
+            Alcotest.(check int) "undefined relation exits 1" 1 (cli ("alg " ^ p)));
+        Alcotest.(check int) "a directory as input exits 2" 2 (cli ("run " ^ dir));
+        (* A read failing mid-run is an I/O error. *)
+        with_file ".alg" "let y = {1};\nquery y;\n" (fun p ->
+            Alcotest.(check int) "a directory as --stats-file exits 6" 6
+              (cli (Printf.sprintf "alg %s --plan cost --stats-file %s" p dir))))
 
 let read_file path =
   let ic = open_in_bin path in

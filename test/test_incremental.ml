@@ -1,7 +1,9 @@
 (* Incremental view maintenance: after any sequence of update batches,
    the resident engines agree byte-for-byte with from-scratch evaluation
    on the final database — for the algebra evaluator (Eval), the
-   three-valued recursive evaluator (Rec_eval), and the Datalog engines. *)
+   three-valued recursive evaluator (Rec_eval), and the Datalog engines.
+   The unit cases below pin each maintenance regime; the random update
+   sequences are the [incremental] knob of the oracle (test_oracle.ml). *)
 
 open Recalg
 open Algebra
@@ -97,97 +99,6 @@ let test_undefined_relation () =
       ignore (I.init no_defs Db.empty tc_expr))
 
 (* ------------------------------------------------------------------ *)
-(* QCheck: random update sequences against random queries.              *)
-
-(* A sequence of batches; each batch is a list of signed edges over the
-   shared node universe. *)
-let batches_gen =
-  QCheck.Gen.(
-    let edge = pair (oneofl Tgen.node_names) (oneofl Tgen.node_names) in
-    list_size (int_range 1 4) (list_size (int_range 1 4) (pair bool edge)))
-
-let print_batches bs =
-  String.concat "; "
-    (List.map
-       (fun b ->
-         String.concat ","
-           (List.map
-              (fun (ins, (a, b)) -> (if ins then "+" else "-") ^ a ^ b)
-              b))
-       bs)
-
-let batch_update ops =
-  List.fold_left
-    (fun u (ins, (a, b)) ->
-      if ins then I.Update.insert "edge" (vp a b) u
-      else I.Update.delete "edge" (vp a b) u)
-    I.Update.empty ops
-
-let ifp_instance_arb =
-  QCheck.make
-    ~print:(fun (body, g, bs) ->
-      Expr.to_string body ^ " | "
-      ^ String.concat " " (List.map (fun (a, b) -> a ^ "->" ^ b) g)
-      ^ " | " ^ print_batches bs)
-    QCheck.Gen.(
-      triple Tgen.ifp_body_gen (Tgen.graph_gen ~max_nodes:4 ~max_edges:6 ())
-        batches_gen)
-
-(* The tentpole property: incremental(updates) ≡ from_scratch(final EDB),
-   byte-identically, for random recursive queries — including bodies that
-   use "edge" negatively, which must take the recompute fallback. *)
-let prop_ifp_incremental_equals_scratch =
-  QCheck.Test.make ~name:"incremental IFP ≡ from-scratch (random updates)"
-    ~count:(Tgen.qcount 150) ifp_instance_arb (fun (body, g, bs) ->
-      let e = Expr.ifp "x" body in
-      let db0 = edge_db g in
-      let eng = I.init no_defs db0 e in
-      List.for_all
-        (fun ops ->
-          let got = I.update eng (batch_update ops) in
-          Value.equal got (scratch (I.db eng) e))
-        bs)
-
-(* Non-recursive operator trees over d1/d2 with updates hitting both
-   relations: exercises the Z-set lifts of union, diff, product, select
-   and map (with collisions) without any IFP in the way. *)
-let flat_instance_arb =
-  QCheck.make
-    ~print:(fun (e, bs) ->
-      Expr.to_string e ^ " | "
-      ^ String.concat "; "
-          (List.map
-             (fun b ->
-               String.concat ","
-                 (List.map
-                    (fun (ins, (r, n)) ->
-                      (if ins then "+" else "-") ^ r ^ string_of_int n)
-                    b))
-             bs))
-    QCheck.Gen.(
-      pair Tgen.expr_gen
-        (list_size (int_range 1 4)
-           (list_size (int_range 1 5)
-              (pair bool (pair (oneofl [ "d1"; "d2" ]) (int_range 0 6))))))
-
-let prop_flat_incremental_equals_scratch =
-  QCheck.Test.make ~name:"incremental operators ≡ from-scratch"
-    ~count:(Tgen.qcount 300) flat_instance_arb (fun (e, bs) ->
-      let eng = I.init no_defs Tgen.algebra_db e in
-      List.for_all
-        (fun ops ->
-          let u =
-            List.fold_left
-              (fun u (ins, (r, n)) ->
-                if ins then I.Update.insert r (Value.int n) u
-                else I.Update.delete r (Value.int n) u)
-              I.Update.empty ops
-          in
-          let got = I.update eng u in
-          Value.equal got (scratch (I.db eng) e))
-        bs)
-
-(* ------------------------------------------------------------------ *)
 (* The Rec engine: resident recursive solutions.                       *)
 
 let tc_defs =
@@ -217,23 +128,6 @@ let test_rec_delete_falls_back () =
   I.Rec.update eng I.Update.(delete "edge" (vp "a" "b") empty);
   Alcotest.(check bool) "recompute = scratch" true
     (check_rec_matches_scratch eng)
-
-let rec_batches_arb =
-  QCheck.make
-    ~print:(fun (g, bs) ->
-      String.concat " " (List.map (fun (a, b) -> a ^ "->" ^ b) g)
-      ^ " | " ^ print_batches bs)
-    QCheck.Gen.(pair (Tgen.graph_gen ~max_nodes:4 ~max_edges:6 ()) batches_gen)
-
-let prop_rec_incremental_equals_scratch =
-  QCheck.Test.make ~name:"incremental Rec ≡ from-scratch (random updates)"
-    ~count:(Tgen.qcount 60) rec_batches_arb (fun (g, bs) ->
-      let eng = I.Rec.init tc_defs (edge_db g) in
-      List.for_all
-        (fun ops ->
-          I.Rec.update eng (batch_update ops);
-          check_rec_matches_scratch eng)
-        bs)
 
 (* ------------------------------------------------------------------ *)
 (* The Datalog layer: Seminaive materialization + the grounder's        *)
@@ -322,32 +216,6 @@ let test_dl_negation_recompute () =
   Alcotest.(check bool) "a isolated now" true
     (DI.holds t "iso" [ Value.sym "a" ])
 
-(* Random programs (p/q/r over e, negation allowed — non-stratified ones
-   are skipped at init) under random update sequences. *)
-let dl_instance_arb =
-  QCheck.make
-    ~print:(fun (p, g, bs) ->
-      Datalog.Program.to_string p ^ " | "
-      ^ String.concat " " (List.map (fun (a, b) -> a ^ "->" ^ b) g)
-      ^ " | " ^ print_batches bs)
-    QCheck.Gen.(
-      triple Tgen.rand_program_gen
-        (Tgen.graph_gen ~max_nodes:4 ~max_edges:6 ())
-        batches_gen)
-
-let prop_datalog_incremental_equals_scratch =
-  QCheck.Test.make
-    ~name:"incremental Datalog ≡ from-scratch (random updates)"
-    ~count:(Tgen.qcount 150) dl_instance_arb (fun (program, g, bs) ->
-      match DI.init program (Tgen.e_edb g) with
-      | Error _ -> true (* not stratified: out of scope here *)
-      | Ok t ->
-        List.for_all
-          (fun ops ->
-            let got = DI.update t (dl_batch ops) in
-            Datalog.Edb.equal got (dl_scratch program (DI.edb t)))
-          bs)
-
 (* The grounder's resident envelope, judged through the valid semantics:
    negation and non-stratified programs are fully in scope, and the
    comparison is interpretation-level (Interp.equal), insensitive to
@@ -366,18 +234,6 @@ let test_live_ground_retracts () =
     (Datalog.Interp.equal i
        (Datalog.Run.valid dl_tc_program (Datalog.Run.Live.edb live)))
 
-let prop_live_ground_equals_scratch =
-  QCheck.Test.make
-    ~name:"live grounding ≡ from-scratch (valid semantics, random updates)"
-    ~count:(Tgen.qcount 60) dl_instance_arb (fun (program, g, bs) ->
-      let live = Datalog.Run.Live.start ~semantics:`Valid program (Tgen.e_edb g) in
-      List.for_all
-        (fun ops ->
-          let i = Datalog.Run.Live.update live (dl_batch ops) in
-          Datalog.Interp.equal i
-            (Datalog.Run.valid program (Datalog.Run.Live.edb live)))
-        bs)
-
 let suite =
   [
     Alcotest.test_case "TC single insert (extension)" `Quick test_tc_insert;
@@ -389,18 +245,13 @@ let suite =
     Alcotest.test_case "MAP keeps a multiset image" `Quick
       test_map_multiset_image;
     Alcotest.test_case "undefined relation" `Quick test_undefined_relation;
-    QCheck_alcotest.to_alcotest prop_ifp_incremental_equals_scratch;
-    QCheck_alcotest.to_alcotest prop_flat_incremental_equals_scratch;
     Alcotest.test_case "Rec insert extends" `Quick test_rec_insert;
     Alcotest.test_case "Rec delete recomputes" `Quick
       test_rec_delete_falls_back;
-    QCheck_alcotest.to_alcotest prop_rec_incremental_equals_scratch;
     Alcotest.test_case "Datalog insert resumes" `Quick test_dl_insert;
     Alcotest.test_case "Datalog delete runs DRed" `Quick test_dl_delete;
     Alcotest.test_case "Datalog negation recomputes" `Quick
       test_dl_negation_recompute;
-    QCheck_alcotest.to_alcotest prop_datalog_incremental_equals_scratch;
     Alcotest.test_case "live grounding retracts" `Quick
       test_live_ground_retracts;
-    QCheck_alcotest.to_alcotest prop_live_ground_equals_scratch;
   ]

@@ -1,10 +1,11 @@
 (* Retained-metrics tests: histogram laws (exactness below 16, quantile
    monotonicity, associative/commutative merge, the 1/16 relative error
    bound against the exact nearest-rank reference), registry semantics
-   (counters, gauges, span resource attribution, reset, renderings), the
-   zero-interference contract — collection on ≡ off in results and fuel
-   for every engine, at 1 and 4 domains — span-id tree reconstruction
-   from a JSONL trace, and drift-triggered live re-planning. *)
+   (counters, gauges, span resource attribution, reset, renderings),
+   span-id tree reconstruction from a JSONL trace, and drift-triggered
+   live re-planning. The zero-interference contract — collection on ≡
+   off in results and fuel, for every engine, at 1 and 4 domains — is
+   the [metrics] knob of the oracle (test_oracle.ml). *)
 
 open Recalg
 module H = Obs.Histogram
@@ -12,68 +13,10 @@ module M = Obs.Metrics
 
 let vi = Value.int
 
-(* --- workloads (mirrors test_obs.ml, small sizes) --- *)
+(* --- workloads: the small ones test_obs.ml runs --- *)
 
-let compose a b =
-  Algebra.Expr.(
-    map
-      (Algebra.Efun.Tuple_of
-         [ Algebra.Efun.Compose (Algebra.Efun.Proj 1, Algebra.Efun.Proj 1);
-           Algebra.Efun.Compose (Algebra.Efun.Proj 2, Algebra.Efun.Proj 2) ])
-      (select
-         (Algebra.Pred.Eq
-            ( Algebra.Efun.Compose (Algebra.Efun.Proj 2, Algebra.Efun.Proj 1),
-              Algebra.Efun.Compose (Algebra.Efun.Proj 1, Algebra.Efun.Proj 2) ))
-         (product a b)))
-
-let tc_ifp =
-  Algebra.Expr.(ifp "x" (union (rel "edge") (compose (rel "edge") (rel "x"))))
-
-let chain_db n =
-  Algebra.Db.of_list
-    [ ("edge", List.init n (fun i -> Value.pair (vi i) (vi (i + 1)))) ]
-
-let win_program = fst (Datalog.Parser.parse_exn "win(X) :- move(X,Y), not win(Y).")
-
-let tc_program =
-  fst
-    (Datalog.Parser.parse_exn
-       "tc(X,Y) :- e(X,Y). tc(X,Z) :- e(X,Y), tc(Y,Z).")
-
-let chain_moves n =
-  let rec go i edb =
-    if i >= n then edb
-    else go (i + 1) (Datalog.Edb.add "move" [ vi i; vi (i + 1) ] edb)
-  in
-  go 0 Datalog.Edb.empty
-
-let win_body =
-  Algebra.Expr.(
-    pi 1 (diff (rel "move") (product (pi 1 (rel "move")) (rel "win"))))
-
-let no_defs = Algebra.Defs.make []
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
-let spent fuel_budget f =
-  let fuel = Limits.of_int fuel_budget in
-  let r = f ~fuel in
-  (r, Limits.remaining fuel)
-
-(* Evaluate [f] on a pool of [n] domains, restoring size 1 (and the
-   join threshold) even on failure — later suites assume a quiet pool. *)
-let with_domains n f =
-  let saved = !Algebra.Join.par_threshold in
-  Pool.set_domains n;
-  Algebra.Join.par_threshold := 8;
-  Fun.protect
-    ~finally:(fun () ->
-      Algebra.Join.par_threshold := saved;
-      Pool.set_domains 1)
-    f
+let compose = Tgen.compose_expr
+let contains = Test_obs.contains
 
 (* --- histogram laws --- *)
 
@@ -207,7 +150,7 @@ let collected_eval_snapshot () =
   let fuel = Limits.of_int 100_000 in
   M.with_collecting (fun () ->
       Limits.with_active fuel (fun () ->
-          ignore (Algebra.Eval.eval ~fuel no_defs (chain_db 6) tc_ifp)));
+          ignore (Algebra.Eval.eval ~fuel Test_obs.no_defs (Test_obs.chain_db 6) Test_obs.tc_ifp)));
   let sn = M.snapshot () in
   M.reset ();
   sn
@@ -270,94 +213,6 @@ let test_registry_renderings () =
         (contains ~sub report))
     [ "p50"; "p99"; "fuel" ]
 
-(* --- the zero-interference contract, per engine, at 1 and 4 domains --- *)
-
-let transparent_at ~budget eval_pair =
-  (* [eval_pair] runs the engine once plain and once collected and
-     answers whether results and fuel agree. *)
-  let plain, plain_fuel = spent budget (fun ~fuel -> eval_pair ~fuel) in
-  M.reset ();
-  let on, on_fuel =
-    M.with_collecting (fun () -> spent budget (fun ~fuel -> eval_pair ~fuel))
-  in
-  M.reset ();
-  (plain, plain_fuel, on, on_fuel)
-
-let both_domains check = check 1 && with_domains 4 (fun () -> check 4)
-
-let prop_metrics_transparent_eval =
-  QCheck.Test.make ~count:(Tgen.qcount 30)
-    ~name:"metrics-on ≡ metrics-off: Eval IFP (domains 1 and 4)"
-    Tgen.graph_arb (fun edges ->
-      let db =
-        Algebra.Db.of_list
-          [ ("edge",
-             List.map
-               (fun (a, b) -> Value.pair (Value.sym a) (Value.sym b))
-               edges) ]
-      in
-      both_domains (fun _ ->
-          let plain, pf, on, onf =
-            transparent_at ~budget:200_000 (fun ~fuel ->
-                Algebra.Eval.eval ~fuel no_defs db tc_ifp)
-          in
-          Value.equal plain on && pf = onf))
-
-let prop_metrics_transparent_rec =
-  QCheck.Test.make ~count:(Tgen.qcount 25)
-    ~name:"metrics-on ≡ metrics-off: Rec_eval solve (domains 1 and 4)"
-    Tgen.graph_arb (fun edges ->
-      let db =
-        Algebra.Db.of_list
-          [ ("move",
-             List.map
-               (fun (a, b) -> Value.pair (Value.sym a) (Value.sym b))
-               edges) ]
-      in
-      let defs = Algebra.Defs.make [ Algebra.Defs.constant "win" win_body ] in
-      both_domains (fun _ ->
-          let plain, pf, on, onf =
-            transparent_at ~budget:400_000 (fun ~fuel ->
-                let sol = Algebra.Rec_eval.solve ~fuel defs db in
-                Algebra.Rec_eval.constant sol "win")
-          in
-          Value.equal plain.Algebra.Rec_eval.low on.Algebra.Rec_eval.low
-          && Value.equal plain.Algebra.Rec_eval.high on.Algebra.Rec_eval.high
-          && pf = onf))
-
-let prop_metrics_transparent_seminaive =
-  QCheck.Test.make ~count:(Tgen.qcount 25)
-    ~name:"metrics-on ≡ metrics-off: datalog semi-naive (domains 1 and 4)"
-    Tgen.graph_arb (fun edges ->
-      let edb = Tgen.e_edb edges in
-      both_domains (fun _ ->
-          let plain, pf, on, onf =
-            transparent_at ~budget:400_000 (fun ~fuel ->
-                Datalog.Run.stratified ~fuel tc_program edb)
-          in
-          let same =
-            match plain, on with
-            | Ok a, Ok b -> Datalog.Edb.equal a b
-            | Error a, Error b -> a = b
-            | _ -> false
-          in
-          same && pf = onf))
-
-let prop_metrics_transparent_grounder =
-  QCheck.Test.make ~count:(Tgen.qcount 25)
-    ~name:"metrics-on ≡ metrics-off: grounder (domains 1 and 4)"
-    Tgen.graph_arb (fun edges ->
-      let edb = Tgen.move_edb edges in
-      both_domains (fun _ ->
-          let plain, pf, on, onf =
-            transparent_at ~budget:400_000 (fun ~fuel ->
-                let pg = Datalog.Grounder.ground ~fuel win_program edb in
-                (Datalog.Propgm.n_atoms pg, Datalog.Valid.solve pg))
-          in
-          fst plain = fst on
-          && Datalog.Interp.equal (snd plain) (snd on)
-          && pf = onf))
-
 (* --- span ids reconstruct the trace tree --- *)
 
 let int_field key line =
@@ -388,7 +243,7 @@ let test_sid_parent_tree () =
       ~finally:(fun () -> close_out oc)
       (fun () ->
         Obs.with_sink (Obs.Sink.jsonl oc) (fun () ->
-            Datalog.Run.valid win_program (chain_moves 5)))
+            Datalog.Run.valid Test_obs.win_program (Test_obs.chain_moves 5)))
   in
   let ic = open_in path in
   let lines =
@@ -534,7 +389,7 @@ let test_drift_live_stale_agree () =
     Algebra.Eval.eval
       ~fuel:(Limits.of_int 1_000_000_000)
       ~advice:{ advice with strategy = Algebra.Delta.Naive }
-      no_defs db ifp
+      Test_obs.no_defs db ifp
   in
   let plain = eval None in
   let stale = Plan.Planner.create ~stats Plan.Planner.Greedy in
@@ -568,10 +423,6 @@ let suite =
       test_registry_span_attribution;
     Alcotest.test_case "registry: prometheus/json/report renderings" `Quick
       test_registry_renderings;
-    QCheck_alcotest.to_alcotest prop_metrics_transparent_eval;
-    QCheck_alcotest.to_alcotest prop_metrics_transparent_rec;
-    QCheck_alcotest.to_alcotest prop_metrics_transparent_seminaive;
-    QCheck_alcotest.to_alcotest prop_metrics_transparent_grounder;
     Alcotest.test_case "trace: span ids reconstruct the tree" `Quick
       test_sid_parent_tree;
     Alcotest.test_case "planner: refresh drift unit behaviour" `Quick

@@ -1,5 +1,6 @@
 (* Observability tests: the zero-cost-when-off invariant (traced and
-   untraced runs are byte-identical in results and fuel), exact fixpoint
+   untraced runs are byte-identical in results and fuel; on random
+   instances this is the [trace] knob of test_oracle.ml), exact fixpoint
    iteration counts read from a memory sink's event series and from the
    retained metrics registry, the JSONL event schema, and the span-path
    context on fuel exhaustion. *)
@@ -10,17 +11,7 @@ let vi = Value.int
 
 (* --- workloads (mirrors bench/workloads.ml, small sizes) --- *)
 
-let compose a b =
-  Algebra.Expr.(
-    map
-      (Algebra.Efun.Tuple_of
-         [ Algebra.Efun.Compose (Algebra.Efun.Proj 1, Algebra.Efun.Proj 1);
-           Algebra.Efun.Compose (Algebra.Efun.Proj 2, Algebra.Efun.Proj 2) ])
-      (select
-         (Algebra.Pred.Eq
-            ( Algebra.Efun.Compose (Algebra.Efun.Proj 2, Algebra.Efun.Proj 1),
-              Algebra.Efun.Compose (Algebra.Efun.Proj 1, Algebra.Efun.Proj 2) ))
-         (product a b)))
+let compose = Tgen.compose_expr
 
 let tc_ifp =
   Algebra.Expr.(ifp "x" (union (rel "edge") (compose (rel "edge") (rel "x"))))
@@ -261,45 +252,6 @@ let test_tee_composition () =
   Alcotest.(check bool) "teed sink saw them too" true
     (counter_series (inner_events ()) "eval/ifp_iter" <> [])
 
-(* --- property: tracing never changes results or fuel --- *)
-
-let prop_valid_trace_transparent =
-  QCheck.Test.make ~count:60 ~name:"traced valid run is byte-identical"
-    Tgen.graph_arb (fun edges ->
-      let edb = Tgen.move_edb edges in
-      let plain, plain_fuel =
-        spent 200_000 (fun ~fuel -> Datalog.Run.valid ~fuel win_program edb)
-      in
-      let mem, _ = Obs.Sink.memory () in
-      let traced, traced_fuel =
-        Obs.with_sink mem (fun () ->
-            spent 200_000 (fun ~fuel -> Datalog.Run.valid ~fuel win_program edb))
-      in
-      Datalog.Interp.equal plain traced && plain_fuel = traced_fuel)
-
-let prop_ifp_trace_transparent =
-  QCheck.Test.make ~count:60 ~name:"traced IFP eval is byte-identical"
-    Tgen.graph_arb (fun edges ->
-      let db =
-        Algebra.Db.of_list
-          [ ("edge",
-             List.map (fun (a, b) -> Value.pair (Value.sym a) (Value.sym b)) edges)
-          ]
-      in
-      let advice =
-        { Algebra.Advice.none with strategy = Algebra.Delta.Seminaive }
-      in
-      let plain, plain_fuel =
-        spent 200_000 (fun ~fuel -> Algebra.Eval.eval ~fuel ~advice no_defs db tc_ifp)
-      in
-      let mem, _ = Obs.Sink.memory () in
-      let traced, traced_fuel =
-        Obs.with_sink mem (fun () ->
-            spent 200_000 (fun ~fuel ->
-                Algebra.Eval.eval ~fuel ~advice no_defs db tc_ifp))
-      in
-      Value.equal plain traced && plain_fuel = traced_fuel)
-
 let suite =
   [
     Alcotest.test_case "disabled by default, no events" `Quick
@@ -325,6 +277,4 @@ let suite =
     Alcotest.test_case "jsonl schema: at/ev/span/counter" `Quick
       test_jsonl_schema;
     Alcotest.test_case "with_tee reaches both sinks" `Quick test_tee_composition;
-    QCheck_alcotest.to_alcotest prop_valid_trace_transparent;
-    QCheck_alcotest.to_alcotest prop_ifp_trace_transparent;
   ]

@@ -1,8 +1,9 @@
-(* Multicore scale-out: the pool itself, concurrent interning, and the
-   domains:N ≡ domains:1 determinism contract — every engine must return
-   byte-identical results and spend identical fuel at every pool size
-   (DESIGN.md §9). The join parallel threshold is forced low here so the
-   random instances actually exercise the partitioned join path. *)
+(* Multicore scale-out: the pool itself, concurrent interning, and
+   failure containment. The domains:N ≡ domains:1 determinism contract —
+   every engine returns byte-identical results and spends identical fuel
+   at every pool size (DESIGN.md §9) — is the [domains 4] knob of the
+   oracle (test_oracle.ml). The join parallel threshold is forced low
+   here so small inputs exercise the partitioned join path. *)
 
 open Recalg
 module Eval = Algebra.Eval
@@ -20,19 +21,7 @@ module Valid = Datalog.Valid
 module S2i = Translate.Stratified_to_ifp
 
 let vs = Value.sym
-let no_defs = Defs.make []
-
-(* Evaluate [f] on a pool of [n] domains, restoring size 1 (and the
-   join threshold) even on failure — later suites assume a quiet pool. *)
-let with_domains n f =
-  let saved = !Join.par_threshold in
-  Pool.set_domains n;
-  Join.par_threshold := 8;
-  Fun.protect
-    ~finally:(fun () ->
-      Join.par_threshold := saved;
-      Pool.set_domains 1)
-    f
+let with_domains = Tgen.with_domains
 
 (* --- Pool unit tests --- *)
 
@@ -143,179 +132,6 @@ let test_fresh_concurrent_interning () =
   Alcotest.(check int) "ids unique" m
     (List.length (List.sort_uniq compare (List.map Value.id reference)))
 
-(* --- domains:4 ≡ domains:1 engine properties --- *)
-
-let edge_db edges =
-  Db.of_list [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
-
-let prop_eval_domains =
-  QCheck.Test.make ~name:"Eval: domains:4 = domains:1 (value and fuel)"
-    ~count:(Tgen.qcount 60)
-    QCheck.(pair Tgen.ifp_body_arb Tgen.graph_arb)
-    (fun (body, edges) ->
-      let e = Expr.ifp "x" body in
-      let run n =
-        with_domains n @@ fun () ->
-        let fuel = Limits.of_int 400 in
-        try
-          Ok (Eval.eval ~fuel no_defs (edge_db edges) e, Limits.remaining fuel)
-        with Limits.Diverged _ -> Error `Diverged
-      in
-      match (run 1, run 4) with
-      | Ok (v1, f1), Ok (v2, f2) -> Value.equal v1 v2 && f1 = f2
-      | Error `Diverged, Error `Diverged -> true
-      | _ -> false)
-
-let prop_rec_eval_domains =
-  QCheck.Test.make ~name:"Rec_eval: domains:4 = domains:1 (bounds and fuel)"
-    ~count:(Tgen.qcount 40)
-    QCheck.(triple Tgen.ifp_body_arb Tgen.ifp_body_arb Tgen.graph_arb)
-    (fun (b1, b2, edges) ->
-      let subst to_ e =
-        Expr.map_rels (fun n -> Expr.rel (if n = "x" then to_ else n)) e
-      in
-      let defs =
-        Defs.make
-          [ Defs.constant "c" (subst "d" b1); Defs.constant "d" (subst "c" b2) ]
-      in
-      let run n =
-        with_domains n @@ fun () ->
-        let fuel = Limits.of_int 5000 in
-        try
-          let sol = Rec_eval.solve ~fuel defs (edge_db edges) in
-          Ok
-            ( Rec_eval.constant sol "c",
-              Rec_eval.constant sol "d",
-              Limits.remaining fuel )
-        with Limits.Diverged _ -> Error `Diverged
-      in
-      match (run 1, run 4) with
-      | Ok (c1, d1, f1), Ok (c2, d2, f2) ->
-        Value.equal c1.Rec_eval.low c2.Rec_eval.low
-        && Value.equal c1.Rec_eval.high c2.Rec_eval.high
-        && Value.equal d1.Rec_eval.low d2.Rec_eval.low
-        && Value.equal d1.Rec_eval.high d2.Rec_eval.high
-        && f1 = f2
-      | Error `Diverged, Error `Diverged -> true
-      | _ -> false)
-
-let prop_seminaive_domains =
-  (* Both the per-rule parallel rounds (Seminaive.seminaive on the raw
-     rule set) and the component-parallel stratified driver. *)
-  QCheck.Test.make ~name:"Seminaive: domains:4 = domains:1 (EDB and fuel)"
-    ~count:(Tgen.qcount 60) Tgen.rand_instance_arb
-    (fun (program, edges) ->
-      let base = Tgen.e_edb edges in
-      let run n =
-        with_domains n @@ fun () ->
-        let fuel = Limits.of_int 2000 in
-        try
-          let direct =
-            Seminaive.seminaive ~fuel program ~base
-              program.Datalog.Program.rules
-          in
-          let strat = Run.stratified ~fuel program base in
-          Ok (direct, strat, Limits.remaining fuel)
-        with
-        | Limits.Diverged _ -> Error `Diverged
-        | Datalog.Relstore.Unsafe m -> Error (`Unsafe m)
-      in
-      match (run 1, run 4) with
-      | Ok (d1, s1, f1), Ok (d2, s2, f2) ->
-        Edb.equal d1 d2 && f1 = f2
-        && (match (s1, s2) with
-           | Ok e1, Ok e2 -> Edb.equal e1 e2
-           | Error m1, Error m2 -> m1 = m2
-           | _ -> false)
-      | Error e1, Error e2 -> e1 = e2
-      | _ -> false)
-
-let prop_grounder_domains =
-  QCheck.Test.make ~name:"grounder/valid: domains:4 = domains:1"
-    ~count:(Tgen.qcount 40) Tgen.rand_instance_arb
-    (fun (program, edges) ->
-      let edb = Tgen.e_edb edges in
-      let preds = [ "p"; "q"; "r"; "e" ] in
-      let run n =
-        with_domains n @@ fun () ->
-        let fuel = Limits.of_int 5000 in
-        try
-          let interp = Valid.solve (Grounder.ground ~fuel program edb) in
-          Ok
-            ( List.map (fun p -> (Interp.true_tuples interp p,
-                                  Interp.undef_tuples interp p)) preds,
-              Limits.remaining fuel )
-        with Limits.Diverged _ -> Error `Diverged
-      in
-      match (run 1, run 4) with
-      | Ok (t1, f1), Ok (t2, f2) -> t1 = t2 && f1 = f2
-      | Error `Diverged, Error `Diverged -> true
-      | _ -> false)
-
-let prop_translate_eval_all_domains =
-  QCheck.Test.make
-    ~name:"Stratified_to_ifp.eval_all: domains:4 = domains:1, = eval_pred"
-    ~count:(Tgen.qcount 40) Tgen.rand_instance_arb
-    (fun (program, edges) ->
-      let edb = Tgen.e_edb edges in
-      match S2i.translate program edb with
-      | Error _ -> true (* unsafe or unstratified: nothing to compare *)
-      | Ok t ->
-        let run n =
-          with_domains n @@ fun () ->
-          let fuel = Limits.of_int 20000 in
-          try Ok (S2i.eval_all ~fuel t, Limits.remaining fuel)
-          with Limits.Diverged _ -> Error `Diverged
-        in
-        (match (run 1, run 4) with
-        | Ok (r1, f1), Ok (r2, f2) ->
-          f1 = f2
-          && List.for_all2
-               (fun (p1, v1) (p2, v2) -> p1 = p2 && Value.equal v1 v2)
-               r1 r2
-          && List.for_all
-               (fun (pred, v) ->
-                 (* Cross-check against the one-predicate evaluator. *)
-                 Value.equal v
-                   (Value.set (List.map Value.tuple (S2i.eval_pred t pred))))
-               r1
-        | Error `Diverged, Error `Diverged -> true
-        | _ -> false))
-
-let prop_traced_equals_untraced_parallel =
-  (* The observability layer must stay pure under parallel rounds: at
-     domains:4, a traced run returns the same value and fuel as an
-     untraced one, and the trace itself is well-formed (balanced span
-     events were checked by test_obs; here we only require nonempty). *)
-  QCheck.Test.make ~name:"traced = untraced at domains:4"
-    ~count:(Tgen.qcount 30)
-    QCheck.(pair Tgen.ifp_body_arb Tgen.graph_arb)
-    (fun (body, edges) ->
-      let e = Expr.ifp "x" body in
-      let run traced =
-        with_domains 4 @@ fun () ->
-        let fuel = Limits.of_int 400 in
-        let eval () =
-          try
-            Ok (Eval.eval ~fuel no_defs (edge_db edges) e, Limits.remaining fuel)
-          with Limits.Diverged _ -> Error `Diverged
-        in
-        if traced then begin
-          let mem, events = Obs.Sink.memory () in
-          let r = Obs.with_sink mem eval in
-          (r, List.length (events ()))
-        end
-        else (eval (), 0)
-      in
-      let traced, events = run true in
-      let untraced, _ = run false in
-      events > 0
-      &&
-      match (traced, untraced) with
-      | Ok (v1, f1), Ok (v2, f2) -> Value.equal v1 v2 && f1 = f2
-      | Error `Diverged, Error `Diverged -> true
-      | _ -> false)
-
 (* --- Failure containment (DESIGN.md Â§11): a raising or cancelled
    task must leave the pool reusable, the intern shards unlocked, and
    a shared fuel budget exactly accounted. --- *)
@@ -407,12 +223,6 @@ let suite =
       test_concurrent_interning;
     Alcotest.test_case "concurrent fresh interning is duplicate-free" `Quick
       test_fresh_concurrent_interning;
-    QCheck_alcotest.to_alcotest prop_eval_domains;
-    QCheck_alcotest.to_alcotest prop_rec_eval_domains;
-    QCheck_alcotest.to_alcotest prop_seminaive_domains;
-    QCheck_alcotest.to_alcotest prop_grounder_domains;
-    QCheck_alcotest.to_alcotest prop_translate_eval_all_domains;
-    QCheck_alcotest.to_alcotest prop_traced_equals_untraced_parallel;
     Alcotest.test_case "injected task leaves the pool reusable" `Quick
       test_pool_task_fault_recovery;
     Alcotest.test_case "injected intern leaves shards unlocked" `Quick

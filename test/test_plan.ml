@@ -1,8 +1,9 @@
 (* Planner tests: stats sampling and persistence, the join-order
-   rewrite, semijoin reduction, and the headline property — planned
-   evaluation is byte-identical to unplanned evaluation, for the
-   two-valued evaluator, the delta (seminaive) path, and the
-   three-valued recursive evaluator. *)
+   rewrite, semijoin reduction, and the cardinality estimates behind
+   Datalog body ordering. The headline property — planned evaluation is
+   byte-identical to unplanned evaluation — is the [plan] knobs of the
+   oracle (test_oracle.ml), over random join regions, IFP bodies,
+   recursive systems and Datalog programs. *)
 
 open Recalg
 open Algebra
@@ -11,7 +12,6 @@ module Planner = Plan.Planner
 
 let check_value = Alcotest.testable Value.pp Value.equal
 let vi = Value.int
-let vs = Value.sym
 let no_defs = Defs.make []
 let vpair a b = Value.tuple [ a; b ]
 let ipair a b = vpair (vi a) (vi b)
@@ -213,177 +213,7 @@ let test_fuel_pinned () =
   Alcotest.check check_value "tc equal" v0 v1;
   Alcotest.(check (option int)) "fuel equal" f0 f1
 
-(* --- QCheck: planned == unplanned on random join regions --- *)
-
-(* Random region: a random product shape over 2-4 literal leaves of
-   integer pairs, random equi/pushdown conjuncts over leaf components,
-   sometimes wrapped in a projection to one leaf (the semijoin
-   opportunity). *)
-
-type rshape = RLeaf of int | RNode of rshape * rshape
-
-let rec rshape_gen lo hi =
-  QCheck.Gen.(
-    if hi - lo = 1 then return (RLeaf lo)
-    else
-      let* s = int_range (lo + 1) (hi - 1) in
-      let* l = rshape_gen lo s in
-      let* r = rshape_gen s hi in
-      return (RNode (l, r)))
-
-let rec rshape_paths s pfx =
-  match s with
-  | RLeaf i -> [ (i, pfx) ]
-  | RNode (l, r) ->
-    rshape_paths l (Join.compose (Efun.Proj 1) pfx)
-    @ rshape_paths r (Join.compose (Efun.Proj 2) pfx)
-
-let region_gen =
-  QCheck.Gen.(
-    let* n = int_range 2 4 in
-    let* shape = rshape_gen 0 n in
-    let paths = rshape_paths shape Efun.Id in
-    let leaf_gen =
-      let* sz = int_range 0 5 in
-      let* pairs = list_size (return sz) (pair (int_range 0 3) (int_range 0 3)) in
-      return (Expr.lit (List.map (fun (a, b) -> ipair a b) pairs))
-    in
-    let* leaves = list_size (return n) leaf_gen in
-    let leaves = Array.of_list leaves in
-    let conj_gen =
-      let* i = int_range 0 (n - 1) in
-      let* ci = int_range 1 2 in
-      let* kind = int_range 0 2 in
-      if kind < 2 then
-        let* j = int_range 0 (n - 1) in
-        let* cj = int_range 1 2 in
-        return
-          (Pred.Eq
-             (key ci (List.assoc i paths), key cj (List.assoc j paths)))
-      else
-        let* bound = int_range 0 3 in
-        return (Pred.Leq (key ci (List.assoc i paths), Efun.Const (vi bound)))
-    in
-    let* nconj = int_range 1 3 in
-    let* conjs = list_size (return nconj) conj_gen in
-    let rec build s =
-      match s with
-      | RLeaf i -> leaves.(i)
-      | RNode (l, r) -> Expr.product (build l) (build r)
-    in
-    let p =
-      List.fold_left (fun acc c -> Pred.And (acc, c)) (List.hd conjs)
-        (List.tl conjs)
-    in
-    let joined = Expr.select p (build shape) in
-    let* wrap = int_range 0 2 in
-    if wrap = 0 then
-      let* i = int_range 0 (n - 1) in
-      return (Expr.map (List.assoc i paths) joined)
-    else return joined)
-
-let region_arb = QCheck.make ~print:Expr.to_string region_gen
-
-let test_qcheck_eval_planned mode =
-  QCheck.Test.make
-    ~name:("eval planned=unplanned " ^ Planner.mode_to_string mode)
-    ~count:(Tgen.qcount 200) region_arb (fun e ->
-      let expected = Eval.eval no_defs Db.empty e in
-      let p = Planner.create mode in
-      let via_rewrite = Eval.eval no_defs Db.empty (Planner.rewrite p e) in
-      let via_advice =
-        Eval.eval ~advice:(Planner.advice p) no_defs Db.empty e
-      in
-      Value.equal expected via_rewrite && Value.equal expected via_advice)
-
-(* Transitive closure over a random graph: the recursive three-valued
-   evaluator and the seminaive delta path, planned vs unplanned. *)
-let tc_defs =
-  Defs.make
-    [ Defs.constant "tc"
-        Expr.(
-          union (rel "edge")
-            (map
-               (Efun.Tuple_of
-                  [ Efun.Compose (Efun.Proj 1, Efun.Proj 1);
-                    Efun.Compose (Efun.Proj 2, Efun.Proj 2) ])
-               (select
-                  (Pred.Eq
-                     (key 2 (Efun.Proj 1), key 1 (Efun.Proj 2)))
-                  (product (rel "tc") (rel "edge"))))) ]
-
-let db_of_edges edges =
-  let v =
-    Value.set (List.map (fun (a, b) -> vpair (vs a) (vs b)) edges)
-  in
-  Db.add "edge" v Db.empty
-
-let test_qcheck_rec_eval_planned =
-  QCheck.Test.make ~name:"rec_eval planned=unplanned"
-    ~count:(Tgen.qcount 100) Tgen.graph_arb (fun edges ->
-      let db = db_of_edges edges in
-      let q = Expr.rel "tc" in
-      let expected = Rec_eval.eval tc_defs db q in
-      let p = Planner.create ~stats:(Stats.of_db db) Planner.Cost in
-      let got = Rec_eval.eval ~advice:(Planner.advice p) tc_defs db q in
-      Value.equal expected.Rec_eval.low got.Rec_eval.low
-      && Value.equal expected.Rec_eval.high got.Rec_eval.high)
-
-let test_qcheck_ifp_planned =
-  QCheck.Test.make ~name:"ifp delta path planned=unplanned"
-    ~count:(Tgen.qcount 100) Tgen.graph_arb (fun edges ->
-      let db = db_of_edges edges in
-      let tc =
-        Expr.(
-          ifp "t"
-            (union (rel "edge")
-               (map
-                  (Efun.Tuple_of
-                     [ Efun.Compose (Efun.Proj 1, Efun.Proj 1);
-                       Efun.Compose (Efun.Proj 2, Efun.Proj 2) ])
-                  (select
-                     (Pred.Eq
-                        (key 2 (Efun.Proj 1), key 1 (Efun.Proj 2)))
-                     (product (rel "t") (rel "edge"))))))
-      in
-      let expected = Eval.eval no_defs db tc in
-      let p = Planner.create ~stats:(Stats.of_db db) Planner.Cost in
-      List.for_all
-        (fun strategy ->
-          Value.equal expected
-            (Eval.eval
-               ~advice:{ (Planner.advice p) with strategy }
-               no_defs db tc))
-        [ Delta.Seminaive; Delta.Naive ])
-
-(* --- datalog: stats-driven body-literal ordering --- *)
-
-(* Reordering a rule body never changes which facts a round derives, so
-   stratified evaluation under [`Stats] must match [`Syntactic] exactly —
-   including fuel, which is spent per derived fact. *)
-let test_qcheck_order_stratified =
-  QCheck.Test.make ~name:"stratified order stats=syntactic"
-    ~count:(Tgen.qcount 100) Tgen.rand_instance_arb (fun (program, edges) ->
-      let edb = Tgen.e_edb edges in
-      let run order =
-        let fuel = Limits.of_int 50_000 in
-        let r = Datalog.Run.stratified ~fuel ~order program edb in
-        (r, Limits.remaining fuel)
-      in
-      match run `Syntactic, run `Stats with
-      | (Ok a, fa), (Ok b, fb) -> Datalog.Edb.equal a b && fa = fb
-      | (Error _, _), (Error _, _) -> true
-      | (Ok _, _), (Error _, _) | (Error _, _), (Ok _, _) -> false)
-
-(* The grounder emits the same rule instances under any evaluable
-   ordering, so the valid model is Interp-equal. *)
-let test_qcheck_order_valid =
-  QCheck.Test.make ~name:"valid order stats=syntactic"
-    ~count:(Tgen.qcount 60) Tgen.rand_instance_arb (fun (program, edges) ->
-      let edb = Tgen.e_edb edges in
-      let a = Datalog.Run.valid ~order:`Syntactic program edb in
-      let b = Datalog.Run.valid ~order:`Stats program edb in
-      Datalog.Interp.equal a b)
+(* --- datalog: cardinality estimates for body-literal ordering --- *)
 
 let test_cardest_ranks () =
   (* tiny(1 fact) must rank before edge(4 facts); the derived closure
@@ -425,11 +255,5 @@ let suite =
     Alcotest.test_case "pushdown attaches once" `Quick
       test_pushdown_attaches_once;
     Alcotest.test_case "fuel pinned on tc" `Quick test_fuel_pinned;
-    QCheck_alcotest.to_alcotest (test_qcheck_eval_planned Planner.Greedy);
-    QCheck_alcotest.to_alcotest (test_qcheck_eval_planned Planner.Cost);
-    QCheck_alcotest.to_alcotest test_qcheck_rec_eval_planned;
-    QCheck_alcotest.to_alcotest test_qcheck_ifp_planned;
     Alcotest.test_case "cardest ranks relations" `Quick test_cardest_ranks;
-    QCheck_alcotest.to_alcotest test_qcheck_order_stratified;
-    QCheck_alcotest.to_alcotest test_qcheck_order_valid;
   ]

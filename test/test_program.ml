@@ -69,40 +69,6 @@ let test_interp_counts () =
   Alcotest.(check int) "one undef" 1 (Interp.count_undef interp);
   Alcotest.(check bool) "not total" false (Interp.is_total interp)
 
-(* The grounder's heads are exactly the positive envelope: EDB plus the
-   least fixpoint of the program with its negative literals removed,
-   computed here by the independent naive loop. *)
-let prop_grounder_heads_are_envelope =
-  QCheck.Test.make ~name:"grounder heads = EDB + naive positive envelope"
-    ~count:(Tgen.qcount 60) Tgen.rand_instance_arb (fun (program, edges) ->
-      let edb = Tgen.e_edb edges in
-      let pg = Grounder.ground program edb in
-      let heads =
-        Array.fold_left
-          (fun db (r : Propgm.rule) ->
-            let pred, tup = Propgm.fact_of_id pg r.Propgm.head in
-            Edb.add pred tup db)
-          Edb.empty pg.Propgm.rules
-      in
-      let positive =
-        List.map
-          (fun (r : Rule.t) ->
-            Rule.make r.Rule.head
-              (List.filter
-                 (fun lit ->
-                   match lit with
-                   | Literal.Neg _ -> false
-                   | Literal.Pos _ | Literal.Eq _ | Literal.Neq _ -> true)
-                 r.Rule.body))
-          program.Program.rules
-      in
-      let envelope =
-        Seminaive.naive
-          (Program.make ~builtins:program.Program.builtins positive)
-          ~base:edb positive
-      in
-      Edb.equal heads (Edb.union edb envelope))
-
 (* A model of [Relstore]: per predicate, the three sections as plain
    sets, driven by the same random sequence of discover / promote /
    reload steps (a reload is what [Grounder.Live] does on retract and
@@ -207,7 +173,6 @@ let prop_relstore_model =
           consistent "p" && consistent "q")
         ops)
 
-
 let test_subst_ops () =
   let s = Subst.bind "X" (vi 1) Subst.empty in
   Alcotest.(check bool) "find" true (Subst.find "X" s = Some (vi 1));
@@ -240,6 +205,5 @@ let suite =
     Alcotest.test_case "interp counts" `Quick test_interp_counts;
     Alcotest.test_case "subst operations" `Quick test_subst_ops;
     Alcotest.test_case "rule utilities" `Quick test_rule_utilities;
-    QCheck_alcotest.to_alcotest prop_grounder_heads_are_envelope;
     QCheck_alcotest.to_alcotest prop_relstore_model;
   ]

@@ -1,6 +1,7 @@
 (* Relational evaluation tests: naive and semi-naive agree and both match
-   the grounding-based engine; stratified evaluation handles mixed
-   EDB/IDB predicates. *)
+   the grounding-based engine (on random programs: the theorem rows of
+   test_oracle.ml); stratified evaluation handles mixed EDB/IDB
+   predicates. *)
 
 open Recalg
 open Datalog
@@ -70,46 +71,6 @@ let test_edb_facts_for_idb_pred () =
       (Edb.mem db "level" [ Value.sym "a"; vi 1 ])
   | Error e -> Alcotest.fail e
 
-let prop_naive_equals_seminaive =
-  QCheck.Test.make ~name:"naive = seminaive on random positive programs"
-    ~count:(Tgen.qcount 80)
-    Tgen.rand_instance_arb (fun (program, edges) ->
-      (* Keep only the negation-free rules to stay in the positive
-         fragment both evaluators support symmetrically. *)
-      let rules =
-        List.filter
-          (fun (r : Rule.t) ->
-            List.for_all
-              (fun l ->
-                match l with
-                | Literal.Neg _ -> false
-                | Literal.Pos _ | Literal.Eq _ | Literal.Neq _ -> true)
-              r.Rule.body)
-          program.Program.rules
-      in
-      QCheck.assume (rules <> []);
-      let program = Program.make rules in
-      let edb = Tgen.e_edb edges in
-      let naive = Seminaive.naive program ~base:edb rules in
-      let semi = Seminaive.seminaive program ~base:edb rules in
-      Edb.equal naive semi)
-
-let prop_seminaive_equals_grounding =
-  QCheck.Test.make ~name:"stratified seminaive = valid engine on stratified programs"
-    ~count:(Tgen.qcount 60) Tgen.rand_instance_arb (fun (program, edges) ->
-      QCheck.assume (Stratify.is_stratified program);
-      let edb = Tgen.e_edb edges in
-      match Run.stratified program edb with
-      | Error _ -> QCheck.assume_fail ()
-      | Ok db ->
-        let interp = Run.valid program edb in
-        List.for_all
-          (fun pred ->
-            let a = List.sort compare (Edb.tuples db pred) in
-            let b = List.sort compare (Interp.true_tuples interp pred) in
-            a = b)
-          (Program.idb_preds program))
-
 let _ = eval_with
 
 let suite =
@@ -120,6 +81,4 @@ let suite =
     Alcotest.test_case "rejects non-stratified" `Quick test_stratified_rejects_nonstratified;
     Alcotest.test_case "rejects unsafe" `Quick test_stratified_rejects_unsafe;
     Alcotest.test_case "EDB facts seed IDB preds" `Quick test_edb_facts_for_idb_pred;
-    QCheck_alcotest.to_alcotest prop_naive_equals_seminaive;
-    QCheck_alcotest.to_alcotest prop_seminaive_equals_grounding;
   ]

@@ -1,6 +1,6 @@
 (* Translation tests: the constructive content of Propositions 4.2, 5.1,
-   5.2, 5.3, 5.4, 6.1 and Theorems 3.5 / 6.2, checked on hand-written and
-   random instances. *)
+   5.2, 5.3, 5.4, 6.1 and Theorems 3.5 / 6.2, checked on hand-written
+   instances; the random instances are theorem rows of test_oracle.ml. *)
 
 open Recalg
 open Translate
@@ -10,17 +10,7 @@ let vi = Value.int
 let vs = Value.sym
 let no_defs = Algebra.Defs.make []
 
-let compose a b =
-  Algebra.Expr.(
-    map
-      (Algebra.Efun.Tuple_of
-         [ Algebra.Efun.Compose (Algebra.Efun.Proj 1, Algebra.Efun.Proj 1);
-           Algebra.Efun.Compose (Algebra.Efun.Proj 2, Algebra.Efun.Proj 2) ])
-      (select
-         (Algebra.Pred.Eq
-            ( Algebra.Efun.Compose (Algebra.Efun.Proj 2, Algebra.Efun.Proj 1),
-              Algebra.Efun.Compose (Algebra.Efun.Proj 1, Algebra.Efun.Proj 2) ))
-         (product a b)))
+let compose = Tgen.compose_expr
 
 let win_body =
   Algebra.Expr.(pi 1 (diff (rel "move") (product (pi 1 (rel "move")) (rel "win"))))
@@ -301,54 +291,6 @@ let test_p42_domain_closure () =
 
 (* --- Thm 6.2 round trips on random instances --- *)
 
-let prop_t62_roundtrip_win =
-  QCheck.Test.make ~name:"Thm 6.2: win round trip on random graphs" ~count:60
-    Tgen.graph_arb (fun edges ->
-      let program, _ =
-        Datalog.Parser.parse_exn "win(X) :- move(X,Y), not win(Y)."
-      in
-      let edb = Tgen.move_edb edges in
-      let tr = Datalog_to_alg.translate program edb in
-      let sol = Algebra.Rec_eval.solve tr.Datalog_to_alg.defs tr.Datalog_to_alg.db in
-      agree_on program edb tr sol "win")
-
-let prop_t62_roundtrip_random_programs =
-  QCheck.Test.make ~name:"Thm 6.2: random safe programs -> algebra= agree" ~count:60
-    Tgen.rand_instance_arb (fun (program, edges) ->
-      let edb = Tgen.e_edb edges in
-      let tr = Datalog_to_alg.translate program edb in
-      let sol = Algebra.Rec_eval.solve tr.Datalog_to_alg.defs tr.Datalog_to_alg.db in
-      List.for_all
-        (fun pred -> agree_on program edb tr sol pred)
-        (Datalog.Program.idb_preds program))
-
-let prop_p54_roundtrip_back =
-  QCheck.Test.make ~name:"Prop 5.4: algebra= -> datalog agree on random graphs"
-    ~count:40 Tgen.graph_arb (fun edges ->
-      let db = move_db edges in
-      let direct, via = both_ways win_defs db (Algebra.Expr.rel "win") in
-      vset_equal direct via)
-
-let prop_t35_random_graphs =
-  QCheck.Test.make ~name:"Thm 3.5: IFP elimination on random graphs" ~count:15
-    (QCheck.make
-       ~print:(fun edges ->
-         String.concat " " (List.map (fun (a, b) -> a ^ "->" ^ b) edges))
-       (Tgen.graph_gen ~max_nodes:4 ~max_edges:5 ()))
-    (fun edges ->
-      let db =
-        Algebra.Db.of_list
-          [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
-      in
-      let q =
-        Algebra.Expr.(ifp "x" (union (rel "edge") (compose (rel "edge") (rel "x"))))
-      in
-      let direct = Algebra.Eval.eval no_defs db q in
-      let elim = Ifp_elim.eliminate no_defs db q in
-      let v = Ifp_elim.query_value elim in
-      Value.equal v.Algebra.Rec_eval.low direct
-      && Value.equal v.Algebra.Rec_eval.high direct)
-
 let suite =
   [
     Alcotest.test_case "P5.4 win cyclic" `Quick test_p54_win_cyclic;
@@ -375,10 +317,6 @@ let suite =
     Alcotest.test_case "P4.2 guards unrestricted" `Quick test_p42_guards_unrestricted;
     Alcotest.test_case "P4.2 preserves safe results" `Quick test_p42_preserves_safe_program_results;
     Alcotest.test_case "P4.2 domain closure" `Quick test_p42_domain_closure;
-    QCheck_alcotest.to_alcotest prop_t62_roundtrip_win;
-    QCheck_alcotest.to_alcotest prop_t62_roundtrip_random_programs;
-    QCheck_alcotest.to_alcotest prop_p54_roundtrip_back;
-    QCheck_alcotest.to_alcotest prop_t35_random_graphs;
   ]
 
 (* --- Prop 3.2 witness and d.i. checking --- *)
@@ -412,12 +350,6 @@ let test_di_check_independent () =
   Alcotest.(check bool) "win is d.i." true
     (Di_check.check program edb = `Apparently_independent)
 
-let prop_p54_random_expressions =
-  QCheck.Test.make ~name:"Prop 5.4 on random algebra expressions" ~count:150
-    Tgen.expr_arb (fun e ->
-      let direct, via = both_ways no_defs Tgen.algebra_db e in
-      vset_equal direct via)
-
 let suite =
   suite
   @ [
@@ -425,7 +357,6 @@ let suite =
       Alcotest.test_case "P3.2 witness undefined source" `Quick test_witness_undefined_source;
       Alcotest.test_case "d.i. check: dependent" `Quick test_di_check_dependent;
       Alcotest.test_case "d.i. check: independent" `Quick test_di_check_independent;
-      QCheck_alcotest.to_alcotest prop_p54_random_expressions;
     ]
 
 (* Regression: a rule joining an uncertain positive atom must still
@@ -521,25 +452,10 @@ let test_t43_mutual_recursion_in_stratum () =
     Alcotest.(check bool) "evens" true
       (evs = [ [ vi 0 ]; [ vi 2 ]; [ vi 4 ] ])
 
-let prop_t43_random_stratified =
-  QCheck.Test.make ~name:"Thm 4.3: stratified -> positive IFP-algebra on random programs"
-    ~count:60 Tgen.rand_instance_arb (fun (program, edges) ->
-      QCheck.assume (Datalog.Stratify.is_stratified program);
-      let edb = Tgen.e_edb edges in
-      match Stratified_to_ifp.translate program edb, Datalog.Run.stratified program edb with
-      | Ok tr, Ok strat ->
-        List.for_all
-          (fun pred ->
-            List.sort compare (Stratified_to_ifp.eval_pred tr pred)
-            = List.sort compare (Datalog.Edb.tuples strat pred))
-          (Datalog.Program.idb_preds program)
-      | Error _, _ | _, Error _ -> QCheck.assume_fail ())
-
 let suite =
   suite
   @ [
       Alcotest.test_case "T4.3 construction" `Quick test_t43_construction;
       Alcotest.test_case "T4.3 rejects non-stratified" `Quick test_t43_rejects_nonstratified;
       Alcotest.test_case "T4.3 mutual recursion" `Quick test_t43_mutual_recursion_in_stratum;
-      QCheck_alcotest.to_alcotest prop_t43_random_stratified;
     ]

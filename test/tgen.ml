@@ -1,8 +1,22 @@
 (* Shared QCheck generators: random graphs, random safe programs, random
    algebra expressions — the instance families the equivalence theorems
-   are exercised on. *)
+   are exercised on — plus the pool-size helper the multicore checks
+   share. *)
 
 open Recalg
+
+(* Evaluate [f] on a pool of [n] domains, with the join parallel
+   threshold forced low so small inputs take the partitioned join path;
+   both restored even on failure — later suites assume a quiet pool. *)
+let with_domains n f =
+  let saved = !Algebra.Join.par_threshold in
+  Pool.set_domains n;
+  Algebra.Join.par_threshold := 8;
+  Fun.protect
+    ~finally:(fun () ->
+      Algebra.Join.par_threshold := saved;
+      Pool.set_domains 1)
+    f
 
 (* CI knob: the incremental-equivalence job elevates QCheck iteration
    counts via RECALG_QCHECK_COUNT without patching the test sources. *)
@@ -26,49 +40,60 @@ let graph_gen ?(max_nodes = 6) ?(max_edges = 10) () =
     let* edges = list_size (return m) edge in
     return (List.sort_uniq compare edges))
 
-let graph_arb = QCheck.make ~print:(fun edges ->
-    String.concat " " (List.map (fun (a, b) -> a ^ "->" ^ b) edges))
-    (graph_gen ())
-
-let move_edb edges =
-  List.fold_left
-    (fun edb (a, b) -> Datalog.Edb.add "move" [ Value.sym a; Value.sym b ] edb)
-    Datalog.Edb.empty edges
-
-let edge_edb edges =
-  List.fold_left
-    (fun edb (a, b) -> Datalog.Edb.add "edge" [ Value.sym a; Value.sym b ] edb)
-    Datalog.Edb.empty edges
-
 (* Random safe (range-restricted by construction) programs over a fixed
    EDB relation e/2 and IDB predicates p, q, r (all unary or binary).
    Bodies start with a positive e-atom binding the variables; extra
-   literals may negate IDB predicates — non-stratified programs arise
-   freely. *)
+   literals may mention IDB predicates.
+
+   [shape] picks the instance class: [`Any] negates freely, so
+   non-stratified programs arise; [`Stratified] negates only predicates
+   strictly earlier in the order p < q < r and uses positively only
+   predicates no later than the head, so every program is stratified;
+   [`Positive] never negates. With [constructors], heads and extra
+   literals may wrap their first argument in one level of s(_) — e.g.
+   p(s(X)) :- e(X,Y) — whose variables e already binds, so the envelope
+   stays finite. *)
+type shape = [ `Any | `Stratified | `Positive ]
+
 type rand_rule = {
   head : string * int;  (* predicate, arity (1 or 2) *)
+  wrap_head : bool;  (* first head argument under s(_) *)
   first : [ `Fwd | `Bwd ];  (* e(X,Y) or e(Y,X) *)
-  extra : (bool * string * int) list;  (* positive?, predicate, arity *)
+  extra : (bool * string * int * bool) list;
+      (* positive?, predicate, arity, first argument under s(_) *)
 }
 
 let idb_preds = [ ("p", 1); ("q", 1); ("r", 2) ]
 
-let rand_rule_gen =
+let rand_rule_gen ?(shape : shape = `Any) ?(constructors = false) () =
   QCheck.Gen.(
-    let* head = oneofl idb_preds in
+    let* h = int_range 0 2 in
+    let head = List.nth idb_preds h in
+    let wrap = if constructors then frequencyl [ (3, false); (1, true) ] else return false in
+    let* wrap_head = wrap in
     let* first = oneofl [ `Fwd; `Bwd ] in
     let* n_extra = int_range 0 2 in
-    let* extra =
-      list_size (return n_extra)
-        (triple bool (oneofl [ "p"; "q"; "r" ]) (return 0))
+    let extra_gen =
+      let* positive = if shape = `Positive then return true else bool in
+      let allowed =
+        List.filteri
+          (fun i _ ->
+            match shape with
+            | `Any | `Positive -> true
+            | `Stratified -> if positive then i <= h else i < h)
+          idb_preds
+      in
+      let* w = wrap in
+      if allowed = [] then return None
+      else map (fun (p, arity) -> Some (positive, p, arity, w)) (oneofl allowed)
     in
-    let extra = List.map (fun (pos, p, _) -> (pos, p, List.assoc p idb_preds)) extra in
-    return { head; first; extra })
+    let* extra = list_size (return n_extra) extra_gen in
+    return { head; wrap_head; first; extra = List.filter_map Fun.id extra })
 
 let program_of_rand_rules rules =
   let x = Datalog.Dterm.var "X"
   and y = Datalog.Dterm.var "Y" in
-  let args_of arity = if arity = 1 then [ x ] else [ x; y ] in
+  let s_of wrap t = if wrap then Datalog.Dterm.app "s" [ t ] else t in
   let to_rule r =
     let first =
       match r.first with
@@ -77,27 +102,25 @@ let program_of_rand_rules rules =
     in
     let extras =
       List.map
-        (fun (positive, p, arity) ->
-          let atom_args = if arity = 1 then [ y ] else [ y; x ] in
+        (fun (positive, p, arity, wrap) ->
+          let atom_args = if arity = 1 then [ s_of wrap y ] else [ s_of wrap y; x ] in
           if positive then Datalog.Literal.pos p atom_args
           else Datalog.Literal.neg p atom_args)
         r.extra
     in
     let pred, arity = r.head in
-    Datalog.Rule.make (Datalog.Literal.atom pred (args_of arity)) (first :: extras)
+    let args = if arity = 1 then [ s_of r.wrap_head x ] else [ s_of r.wrap_head x; y ] in
+    Datalog.Rule.make (Datalog.Literal.atom pred args) (first :: extras)
   in
   Datalog.Program.make (List.map to_rule rules)
 
-let rand_program_gen =
+let program_gen ?shape ?constructors () =
   QCheck.Gen.(
     let* n = int_range 1 5 in
-    let* rules = list_size (return n) rand_rule_gen in
+    let* rules = list_size (return n) (rand_rule_gen ?shape ?constructors ()) in
     return (program_of_rand_rules rules))
 
-let rand_program_arb =
-  QCheck.make
-    ~print:(fun p -> Datalog.Program.to_string p)
-    rand_program_gen
+let rand_program_gen = program_gen ()
 
 let rand_instance_arb =
   QCheck.make
@@ -200,7 +223,7 @@ let compose_expr a b =
               Algebra.Efun.Compose (Algebra.Efun.Proj 1, Algebra.Efun.Proj 2) ))
          (product a b)))
 
-let ifp_body_gen =
+let ifp_body_gen_with ?(depth = 3) ~positive () =
   let open QCheck.Gen in
   let leaf =
     frequency
@@ -223,17 +246,20 @@ let ifp_body_gen =
     else
       let sub = node (depth - 1) in
       frequency
-        [ (2, leaf);
-          (3, map2 Algebra.Expr.union sub sub);
-          (2, map2 compose_expr sub sub);
-          (2, map2 Algebra.Expr.diff sub sub);
-          (1, map2 Algebra.Expr.inter sub sub);
-          (1, map (Algebra.Expr.map swap) sub);
-          (1, map (Algebra.Expr.select (Algebra.Pred.Not self_loop)) sub) ]
+        ([ (2, leaf);
+           (3, map2 Algebra.Expr.union sub sub);
+           (2, map2 compose_expr sub sub);
+           (1, map (Algebra.Expr.map swap) sub);
+           (1, map (Algebra.Expr.select (Algebra.Pred.Not self_loop)) sub) ]
+        @
+        if positive then []
+        else
+          [ (2, map2 Algebra.Expr.diff sub sub);
+            (1, map2 Algebra.Expr.inter sub sub) ])
   in
-  node 3
+  node depth
 
-let ifp_body_arb = QCheck.make ~print:Algebra.Expr.to_string ifp_body_gen
+let ifp_body_gen = ifp_body_gen_with ~positive:false ()
 
 (* Random deep values over every constructor — the instance family for
    the hash-consing kernel properties. *)
@@ -300,3 +326,200 @@ let zset_triple_arb =
       Fmt.str "%s %s %s" (Zset.to_string a) (Zset.to_string b)
         (Zset.to_string c))
     QCheck.Gen.(triple zset_gen zset_gen zset_gen)
+
+(* Random join regions for the planner: a random product shape over 2-4
+   literal leaves of integer pairs, random equi/pushdown conjuncts over
+   leaf components, sometimes wrapped in a projection to one leaf (the
+   semijoin opportunity). *)
+type rshape = RLeaf of int | RNode of rshape * rshape
+
+let rec rshape_gen lo hi =
+  QCheck.Gen.(
+    if hi - lo = 1 then return (RLeaf lo)
+    else
+      let* s = int_range (lo + 1) (hi - 1) in
+      let* l = rshape_gen lo s in
+      let* r = rshape_gen s hi in
+      return (RNode (l, r)))
+
+let rec rshape_paths s pfx =
+  match s with
+  | RLeaf i -> [ (i, pfx) ]
+  | RNode (l, r) ->
+    rshape_paths l (Algebra.Join.compose (Algebra.Efun.Proj 1) pfx)
+    @ rshape_paths r (Algebra.Join.compose (Algebra.Efun.Proj 2) pfx)
+
+let region_gen =
+  let open Algebra in
+  let key c path = Join.compose (Efun.Proj c) path in
+  let ipair a b = Value.pair (Value.int a) (Value.int b) in
+  QCheck.Gen.(
+    let* n = int_range 2 4 in
+    let* shape = rshape_gen 0 n in
+    let paths = rshape_paths shape Efun.Id in
+    let leaf_gen =
+      let* sz = int_range 0 5 in
+      let* pairs = list_size (return sz) (pair (int_range 0 3) (int_range 0 3)) in
+      return (Expr.lit (List.map (fun (a, b) -> ipair a b) pairs))
+    in
+    let* leaves = list_size (return n) leaf_gen in
+    let leaves = Array.of_list leaves in
+    let conj_gen =
+      let* i = int_range 0 (n - 1) in
+      let* ci = int_range 1 2 in
+      let* kind = int_range 0 2 in
+      if kind < 2 then
+        let* j = int_range 0 (n - 1) in
+        let* cj = int_range 1 2 in
+        return
+          (Pred.Eq (key ci (List.assoc i paths), key cj (List.assoc j paths)))
+      else
+        let* bound = int_range 0 3 in
+        return
+          (Pred.Leq (key ci (List.assoc i paths), Efun.Const (Value.int bound)))
+    in
+    let* nconj = int_range 1 3 in
+    let* conjs = list_size (return nconj) conj_gen in
+    let rec build s =
+      match s with
+      | RLeaf i -> leaves.(i)
+      | RNode (l, r) -> Expr.product (build l) (build r)
+    in
+    let p =
+      List.fold_left (fun acc c -> Pred.And (acc, c)) (List.hd conjs) (List.tl conjs)
+    in
+    let joined = Expr.select p (build shape) in
+    let* wrap = int_range 0 2 in
+    if wrap = 0 then
+      let* i = int_range 0 (n - 1) in
+      return (Expr.map (List.assoc i paths) joined)
+    else return joined)
+
+(* --- Instance classes of the differential oracle (test_oracle.ml) ---
+
+   An instance is a program with its base data plus a short sequence of
+   update batches, which only the incremental engines replay; every
+   other engine evaluates the base data. *)
+
+type instance =
+  | Dl of {
+      program : Datalog.Program.t;
+      edb : Datalog.Edb.t;
+      updates : Datalog.Edb.Update.t list;
+    }
+  | Alg of {
+      defs : Algebra.Defs.t;
+      db : Algebra.Db.t;
+      query : Algebra.Expr.t;
+      updates : Algebra.Incremental.Update.t list;
+    }
+
+type cls =
+  | Dl_any  (** negation anywhere, constructor heads; often unstratified *)
+  | Dl_stratified
+  | Dl_positive
+  | Dl_win  (** the WIN game win(X) :- e(X,Y), not win(Y) on a random graph *)
+  | Alg_ifp  (** IFP of a random body over a random graph *)
+  | Alg_ifp_positive  (** the same with x never under a difference *)
+  | Alg_ifp_small  (** shallow positive IFP bodies over graphs of 3 nodes *)
+  | Alg_rec  (** two mutually recursive constants with random bodies *)
+  | Alg_win  (** the WIN game as an algebra= constant *)
+  | Alg_expr  (** non-recursive expressions over d1, d2 *)
+  | Alg_region  (** planner join regions over literal relations *)
+
+let pp_instance ppf = function
+  | Dl { program; edb; updates } ->
+    Fmt.pf ppf "@[<v>program: %s@,edb: %a@,updates: %a@]"
+      (Datalog.Program.to_string program) Datalog.Edb.pp edb
+      Fmt.(list ~sep:(any "; ") Datalog.Edb.Update.pp) updates
+  | Alg { defs; db; query; updates } ->
+    Fmt.pf ppf "@[<v>defs: %a@,query: %s@,db: %a@,updates: %a@]" Algebra.Defs.pp
+      defs (Algebra.Expr.to_string query) Algebra.Db.pp db
+      Fmt.(list ~sep:(any "; ") Algebra.Incremental.Update.pp) updates
+
+(* One to three batches of one to four signed changes. *)
+let updates_gen ~empty ~insert ~delete change =
+  let batch ops =
+    List.fold_left (fun u (ins, c) -> (if ins then insert else delete) c u) empty ops
+  in
+  QCheck.Gen.(
+    list_size (int_range 1 3) (map batch (list_size (int_range 1 4) (pair bool change))))
+
+let node = QCheck.Gen.oneofl [ "a"; "b"; "c"; "d"; "e" ]
+
+let e_updates =
+  let fact (a, b) = [ Value.sym a; Value.sym b ] in
+  Datalog.Edb.Update.(
+    updates_gen ~empty
+      ~insert:(fun c -> insert "e" (fact c))
+      ~delete:(fun c -> delete "e" (fact c))
+      QCheck.Gen.(pair node node))
+
+let alg_updates change =
+  Algebra.Incremental.Update.(
+    updates_gen ~empty ~insert:(fun (r, v) -> insert r v) ~delete:(fun (r, v) -> delete r v)
+      change)
+
+let pair_updates rel =
+  alg_updates
+    QCheck.Gen.(map (fun (a, b) -> (rel, Value.pair (Value.sym a) (Value.sym b))) (pair node node))
+
+let pair_db rel edges =
+  Algebra.Db.of_list
+    [ (rel, List.map (fun (a, b) -> Value.pair (Value.sym a) (Value.sym b)) edges) ]
+
+let win_rule = fst (Datalog.Parser.parse_exn "win(X) :- e(X,Y), not win(Y).")
+
+let algebra_win_body =
+  Algebra.Expr.(pi 1 (diff (rel "move") (product (pi 1 (rel "move")) (rel "win"))))
+
+(* The tagged union of two constants: one query holding both exactly. *)
+let tagged c d =
+  let tag k = Algebra.Efun.Tuple_of [ Algebra.Efun.Const (Value.int k); Algebra.Efun.Id ] in
+  Algebra.Expr.(union (map (tag 1) (rel c)) (map (tag 2) (rel d)))
+
+let instance_gen cls =
+  let open QCheck.Gen in
+  let dl program =
+    let* program = program and* edges = graph_gen ~max_nodes:4 ~max_edges:6 () in
+    let* updates = e_updates in
+    return (Dl { program; edb = e_edb edges; updates })
+  in
+  let alg ?(defs = Algebra.Defs.make []) ~rel ~graph query =
+    let* query = query and* edges = graph and* updates = pair_updates rel in
+    return (Alg { defs; db = pair_db rel edges; query; updates })
+  in
+  let ifp ?depth ?(graph = graph_gen ()) positive =
+    alg ~rel:"edge" ~graph (map (Algebra.Expr.ifp "x") (ifp_body_gen_with ?depth ~positive ()))
+  in
+  match cls with
+  | Dl_any -> dl (program_gen ~shape:`Any ~constructors:true ())
+  | Dl_stratified -> dl (program_gen ~shape:`Stratified ~constructors:true ())
+  | Dl_positive -> dl (program_gen ~shape:`Positive ~constructors:true ())
+  | Dl_win -> dl (return win_rule)
+  | Alg_ifp -> ifp false
+  | Alg_ifp_positive -> ifp true
+  | Alg_ifp_small -> ifp ~depth:2 ~graph:(graph_gen ~max_nodes:3 ~max_edges:4 ()) true
+  | Alg_rec ->
+    let* b1 = ifp_body_gen and* b2 = ifp_body_gen in
+    let subst to_ e =
+      Algebra.Expr.map_rels (fun n -> Algebra.Expr.rel (if n = "x" then to_ else n)) e
+    in
+    let defs =
+      Algebra.Defs.make
+        [ Algebra.Defs.constant "c" (subst "d" b1); Algebra.Defs.constant "d" (subst "c" b2) ]
+    in
+    alg ~defs ~rel:"edge" ~graph:(graph_gen ~max_nodes:4 ~max_edges:6 ()) (return (tagged "c" "d"))
+  | Alg_win ->
+    alg
+      ~defs:(Algebra.Defs.make [ Algebra.Defs.constant "win" algebra_win_body ])
+      ~rel:"move" ~graph:(graph_gen ()) (return (Algebra.Expr.rel "win"))
+  | Alg_expr ->
+    let* query = expr_gen
+    and* updates =
+      alg_updates (map (fun (r, n) -> (r, Value.int n)) (pair (oneofl [ "d1"; "d2" ]) (int_range 0 6)))
+    in
+    return (Alg { defs = Algebra.Defs.make []; db = algebra_db; query; updates })
+  | Alg_region ->
+    map (fun query -> Alg { defs = Algebra.Defs.make []; db = Algebra.Db.empty; query; updates = [] })
+      region_gen
